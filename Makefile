@@ -1,4 +1,4 @@
-.PHONY: build test check bench bench-smoke bench-compare chaos-smoke chaos-deep fmt-check
+.PHONY: build test check bench bench-smoke bench-compare chaos-smoke chaos-deep fmt-check perfbench-check
 
 build:
 	dune build
@@ -8,8 +8,16 @@ test:
 
 # The one-stop gate: compile everything, run the test suite, refresh
 # the quick perf baseline and diff it against the previous one, sweep
-# the fault-schedule explorer.
-check: build test bench-smoke bench-compare chaos-smoke
+# the fault-schedule explorer, and check that the repository benchmark
+# is a pure function of its seed.
+check: build test bench-smoke bench-compare chaos-smoke perfbench-check
+
+# The repository benchmark (perfbench/, see perfbench/METRICS.md) run
+# twice per workload with one seed and once with the next (~1 min): the
+# virtual and allocation metrics must repeat exactly, and the latencies
+# must move with the seed.
+perfbench-check:
+	python3 perfbench/determinism.py --seconds 1
 
 # Bounded deterministic fault-injection sweep (~a second of wall
 # clock): enumerates crash/partition/drop singles at every registered

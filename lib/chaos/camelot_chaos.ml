@@ -33,7 +33,7 @@ let registered () =
 
 let attach ~on_hit ~crash = Domain.DLS.get sink := Some { on_hit; crash }
 let detach () = Domain.DLS.get sink := None
-let attached () = !(Domain.DLS.get sink) <> None
+let attached () = Option.is_some !(Domain.DLS.get sink)
 
 let die ~site () =
   (match !(Domain.DLS.get sink) with
@@ -62,13 +62,16 @@ let deny ~site name =
 
 (* Per-site protocol-state notes: a short free-form tag (votes still
    outstanding, quorum side, current ballot) that the explorer folds
-   into the coverage tuple of the next hits at that site. Notes cost
-   one branch when detached and are cleared per run by the explorer. *)
+   into the coverage tuple of the next hits at that site. A detached
+   [note] is a sink load and a branch, but its tag argument is built
+   before the call: sites that format one guard it with [attached ()]
+   so a run with no explorer pays nothing. Notes are cleared per run
+   by the explorer. *)
 let notes : (int, string) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 16)
 
 let note ~site tag =
-  if !(Domain.DLS.get sink) <> None then
+  if attached () then
     Hashtbl.replace (Domain.DLS.get notes) site tag
 
 let noted ~site =

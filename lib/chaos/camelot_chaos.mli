@@ -52,6 +52,8 @@ val attach :
 (** Disconnect the sink; hooks revert to free no-ops. *)
 val detach : unit -> unit
 
+(** Whether a sink is attached on this domain. Guards {!note} sites
+    whose tag is formatted, so a detached run never builds it. *)
 val attached : unit -> bool
 
 (** [point ~site name] reports a hit of [Step] point [name] at [site].
@@ -68,7 +70,9 @@ val deny : site:int -> string -> bool
 (** [note ~site tag] records a short protocol-state tag for [site]
     (votes outstanding, quorum side, ballot number). The attached
     explorer folds the current note into each coverage tuple, widening
-    the coverage signal with protocol state. No-op when detached. *)
+    the coverage signal with protocol state. No-op when detached, but
+    the caller has already built [tag]: guard a formatted tag with
+    {!attached}. *)
 val note : site:int -> string -> unit
 
 (** The current note for [site] ([""] when none). *)

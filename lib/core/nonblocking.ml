@@ -85,8 +85,9 @@ let replicate_until_quorum st fam mb ~targets ~needed =
       | Some _ -> wait_quorum ()
       | None ->
           let missing = List.filter (fun s -> not (List.mem s !acked)) targets in
-          tracef st "nb" "%a: re-replicating to %d site(s)" Tid.pp tid
-            (List.length missing);
+          if tracing st then
+            tracef st "nb" "%a: re-replicating to %d site(s)" Tid.pp tid
+              (List.length missing);
           fan_out st ~dsts:missing replicate_msg;
           wait_quorum ()
   in
@@ -281,7 +282,8 @@ let gather_refusals st fam mb ~candidates poll ~needed =
 let adopt st fam outcome =
   let tid = fam.f_root in
   let peers = List.filter (fun s -> s <> me st) fam.f_sites in
-  tracef st "nb" "takeover %a: decided %a" Tid.pp tid Protocol.pp_outcome outcome;
+  if tracing st then
+    tracef st "nb" "takeover %a: decided %a" Tid.pp tid Protocol.pp_outcome outcome;
   (match outcome with
   | Protocol.Committed ->
       if fam.f_outcome = None then begin
@@ -364,8 +366,9 @@ let takeover st fam =
               gather_refusals st fam mb ~candidates poll ~needed:va;
             if List.length poll.refusals >= va then adopt st fam Protocol.Aborted
             else begin
-              tracef st "nb" "takeover %a blocked (commit side %d/%d, refusals %d/%d)"
-                Tid.pp tid commit_count vc (List.length poll.refusals) va;
+              if tracing st then
+                tracef st "nb" "takeover %a blocked (commit side %d/%d, refusals %d/%d)"
+                  Tid.pp tid commit_count vc (List.length poll.refusals) va;
               Fiber.sleep st.config.takeover_retry_ms;
               round ()
             end

@@ -62,8 +62,10 @@ let rec resolve st fam mb ~attempt =
   | Some o -> o
   | None ->
       let ballot = ballot_of st ~attempt in
-      Camelot_chaos.note ~site:(me st) (Printf.sprintf "b%d" ballot);
-      tracef st "paxos" "%a: resolving at ballot %d" Tid.pp tid ballot;
+      if Camelot_chaos.attached () then
+        Camelot_chaos.note ~site:(me st) (Printf.sprintf "b%d" ballot);
+      if tracing st then
+        tracef st "paxos" "%a: resolving at ballot %d" Tid.pp tid ballot;
       let acceptors = fam.f_acceptors in
       let needed = quorum_of acceptors in
       let retry () =
@@ -199,8 +201,9 @@ let rec resolve st fam mb ~attempt =
 let adopt st fam outcome =
   let tid = fam.f_root in
   let peers = List.filter (fun s -> s <> me st) fam.f_sites in
-  tracef st "paxos" "%a: ballot > 0 decided %a" Tid.pp tid Protocol.pp_outcome
-    outcome;
+  if tracing st then
+    tracef st "paxos" "%a: ballot > 0 decided %a" Tid.pp tid Protocol.pp_outcome
+      outcome;
   (match outcome with
   | Protocol.Committed ->
       if fam.f_outcome = None then begin
@@ -268,8 +271,9 @@ let collect_ballot0 st fam mb ~prepare_msg =
               in
               if not (List.mem m_from acks) then
                 Hashtbl.replace tally m_instance (m_from :: acks, ro || read_only);
-              Camelot_chaos.note ~site:(me st)
-                (Printf.sprintf "v%d" (List.length (missing ())));
+              if Camelot_chaos.attached () then
+                Camelot_chaos.note ~site:(me st)
+                  (Printf.sprintf "v%d" (List.length (missing ())));
               wait_round retries)
       | Some (Protocol.Vote { m_vote = Protocol.Vote_no; _ }) -> refused := true
       | Some (Protocol.Status { m_from; m_status = Protocol.St_committed; _ }) ->
@@ -282,8 +286,9 @@ let collect_ballot0 st fam mb ~prepare_msg =
           if fam.f_outcome <> None || retries >= st.config.max_vote_retries then ()
           else begin
             let lag = List.filter (fun i -> i <> me st) (missing ()) in
-            tracef st "paxos" "%a: reproposing to %d instance(s)" Tid.pp
-              fam.f_root (List.length lag);
+            if tracing st then
+              tracef st "paxos" "%a: reproposing to %d instance(s)" Tid.pp
+                fam.f_root (List.length lag);
             fan_out st ~dsts:lag prepare_msg;
             wait_round (retries + 1)
           end

@@ -177,6 +177,8 @@ let engine st = Site.engine st.site
 let model st = Site.model st.site
 let me st = Site.id st.site
 
+let tracing st = Trace.enabled st.trace
+
 let tracef st tag fmt = Trace.record st.trace (engine st) ~tag fmt
 
 let pool st =
@@ -280,9 +282,9 @@ let count_send st ~dst msg =
 
 let send st ~dst msg =
   match endpoint_of st dst with
-  | None -> tracef st "send" "no endpoint for site %d" dst
+  | None -> if tracing st then tracef st "send" "no endpoint for site %d" dst
   | Some ep ->
-      tracef st "send" "-> %d: %a" dst Protocol.pp msg;
+      if tracing st then tracef st "send" "-> %d: %a" dst Protocol.pp msg;
       count_send st ~dst msg;
       Camelot_net.Lan.send st.lan ~src:st.site ep msg
 
@@ -290,7 +292,8 @@ let send_piggybacked st ~dst msg =
   match endpoint_of st dst with
   | None -> ()
   | Some ep ->
-      tracef st "send" "-> %d (piggyback): %a" dst Protocol.pp msg;
+      if tracing st then
+        tracef st "send" "-> %d (piggyback): %a" dst Protocol.pp msg;
       count_send st ~dst msg;
       Camelot_net.Lan.send_piggybacked st.lan ~src:st.site ep msg
 
@@ -299,9 +302,10 @@ let send_piggybacked st ~dst msg =
 let fan_out st ~dsts msg =
   if st.config.multicast then begin
     let eps = List.filter_map (endpoint_of st) dsts in
-    tracef st "send" "multicast -> [%s]: %a"
-      (String.concat "," (List.map string_of_int dsts))
-      Protocol.pp msg;
+    if tracing st then
+      tracef st "send" "multicast -> [%s]: %a"
+        (String.concat "," (List.map string_of_int dsts))
+        Protocol.pp msg;
     List.iter (fun dst -> count_send st ~dst msg) dsts;
     Camelot_net.Lan.multicast st.lan ~src:st.site eps msg
   end
@@ -324,7 +328,7 @@ let waiter st tid = Hashtbl.find_opt st.waiters (family_key tid)
 let log_append st record = Camelot_wal.Log.append st.log record
 
 let log_force st =
-  tracef st "log" "force";
+  if tracing st then tracef st "log" "force";
   Camelot_wal.Log.force st.log
 
 let log_append_force st record =
@@ -423,7 +427,8 @@ let resolve_family st fam outcome =
     (match outcome with
     | Protocol.Committed -> st.stats.n_committed <- st.stats.n_committed + 1
     | Protocol.Aborted -> st.stats.n_aborted <- st.stats.n_aborted + 1);
-    tracef st "txn" "%a resolved: %a" Tid.pp fam.f_root Protocol.pp_outcome outcome
+    if tracing st then
+      tracef st "txn" "%a resolved: %a" Tid.pp fam.f_root Protocol.pp_outcome outcome
   end
 
 (* The quorum domain of a non-blocking transaction: the sites that hold

@@ -147,6 +147,13 @@ val model : t -> Cost_model.t
 (** This site's id. *)
 val me : t -> Site.id
 
+(** Whether this site's trace is recording. Guard every {!tracef} call
+    site with it ([if tracing st then tracef st ...]): an unguarded call
+    builds its format closures even when the trace is off. *)
+val tracing : t -> bool
+
+(** [tracef st tag fmt ...] records a formatted message in this site's
+    trace. *)
 val tracef : t -> string -> ('a, Format.formatter, unit, unit) format4 -> 'a
 
 (** The worker pool. @raise Invalid_argument if not started. *)

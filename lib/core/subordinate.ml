@@ -106,8 +106,9 @@ let start_inquiry_watchdog st fam =
           Fiber.sleep st.config.subordinate_timeout_ms;
           if fam.f_outcome = None then begin
             st.stats.n_inquiries <- st.stats.n_inquiries + 1;
-            tracef st "2pc" "%a blocked; inquiring coordinator %d" Tid.pp tid
-              (Tid.origin tid);
+            if tracing st then
+              tracef st "2pc" "%a blocked; inquiring coordinator %d" Tid.pp tid
+                (Tid.origin tid);
             send st ~dst:(Tid.origin tid)
               (Protocol.Inquiry { m_tid = tid; m_from = me st });
             loop ()
@@ -131,8 +132,9 @@ let start_orphan_watchdog st fam =
           if fam.f_outcome = None && (not fam.f_prepared) && not fam.f_read_only_done
           then begin
             st.stats.n_inquiries <- st.stats.n_inquiries + 1;
-            tracef st "orphan" "%a: inactive; inquiring coordinator %d" Tid.pp
-              tid (Tid.origin tid);
+            if tracing st then
+              tracef st "orphan" "%a: inactive; inquiring coordinator %d" Tid.pp
+                tid (Tid.origin tid);
             send st ~dst:(Tid.origin tid)
               (Protocol.Inquiry { m_tid = tid; m_from = me st });
             loop ()
@@ -151,7 +153,8 @@ let start_takeover_watchdog st fam ~takeover =
         Fiber.sleep st.config.subordinate_timeout_ms;
         if fam.f_outcome = None then begin
           st.stats.n_takeovers <- st.stats.n_takeovers + 1;
-          tracef st "nb" "%a timed out; becoming coordinator" Tid.pp fam.f_root;
+          if tracing st then
+            tracef st "nb" "%a timed out; becoming coordinator" Tid.pp fam.f_root;
           takeover st fam
         end)
   end
@@ -515,8 +518,9 @@ let handle_outcome st msg =
                    damage for the operator (LU 6.2 semantics: heuristic
                    resolution "does not guarantee correctness") *)
                 st.stats.n_heuristic_damage <- st.stats.n_heuristic_damage + 1;
-                tracef st "ERROR" "%a: conflicting outcomes %a vs %a" Tid.pp
-                  m_tid Protocol.pp_outcome prior Protocol.pp_outcome m_outcome
+                if tracing st then
+                  tracef st "ERROR" "%a: conflicting outcomes %a vs %a" Tid.pp
+                    m_tid Protocol.pp_outcome prior Protocol.pp_outcome m_outcome
               end))
   | _ -> invalid_arg "Subordinate.handle_outcome"
 

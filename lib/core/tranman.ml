@@ -15,7 +15,7 @@ exception Unknown_transaction of Tid.t
    requests that do real work — and may force the log — are handed to
    the worker pool. *)
 let dispatch st msg =
-  tracef st "recv" "%a" Protocol.pp msg;
+  if tracing st then tracef st "recv" "%a" Protocol.pp msg;
   let tid = Protocol.tid msg in
   let to_pool handler =
     Thread_pool.submit (pool st) (fun () ->
@@ -169,7 +169,7 @@ let begin_transaction st =
       let tid = Tid.root ~origin:(me st) ~seq in
       ignore (new_family st ~root:tid ~role:Coordinator ~protocol:Protocol.Two_phase
               : family);
-      tracef st "txn" "begin %a" Tid.pp tid;
+      if tracing st then tracef st "txn" "begin %a" Tid.pp tid;
       tid)
 
 let begin_nested st ~parent =
@@ -180,7 +180,7 @@ let begin_nested st ~parent =
       pm.mem_children <- pm.mem_children + 1;
       let tid = Tid.child parent ~n in
       ignore (member st fam tid : member);
-      tracef st "txn" "begin nested %a" Tid.pp tid;
+      if tracing st then tracef st "txn" "begin nested %a" Tid.pp tid;
       tid)
 
 (* Resolve a subtransaction: apply at local servers, push to the
@@ -289,8 +289,9 @@ let heuristic_resolve st tid outcome =
       | Some prior -> prior
       | None ->
           st.stats.n_heuristic <- st.stats.n_heuristic + 1;
-          tracef st "heuristic" "%a resolved %a by operator" Tid.pp tid
-            Protocol.pp_outcome outcome;
+          if tracing st then
+            tracef st "heuristic" "%a resolved %a by operator" Tid.pp tid
+              Protocol.pp_outcome outcome;
           (match outcome with
           | Protocol.Committed ->
               Subordinate.apply_commit st fam ~ack_to:(Tid.origin tid)
@@ -310,7 +311,8 @@ let join st tid ~server =
          if not (List.mem server fam.f_servers) then
            fam.f_servers <- server :: fam.f_servers;
          if fam.f_role = Subordinate then Subordinate.start_orphan_watchdog st fam;
-         tracef st "txn" "%a joined by server %s" Tid.pp tid server)
+         if tracing st then
+           tracef st "txn" "%a joined by server %s" Tid.pp tid server)
       : unit)
 
 let note_sites st tid sites =

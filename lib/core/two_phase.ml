@@ -75,8 +75,9 @@ let start_notify ?(outcome = Protocol.Committed) st fam ~update_subs =
       ignore (log_append st (Record.End { e_tid = tid }) : int);
       fam.f_ended <- true;
       unregister_waiter st tid;
-      tracef st "2pc" "%a: all %a-acks in; forgotten" Tid.pp tid
-        Protocol.pp_outcome outcome)
+      if tracing st then
+        tracef st "2pc" "%a: all %a-acks in; forgotten" Tid.pp tid
+          Protocol.pp_outcome outcome)
 
 (* Abort everywhere we know about. Presumed abort: the abort record is
    not forced, no acknowledgements are collected, and the descriptor
@@ -169,8 +170,9 @@ let collect_votes st fam mb ~subs ~prepare_msg =
           match m_vote with
           | Protocol.Vote_yes { read_only } ->
               note_yes ~from:m_from ~read_only;
-              Camelot_chaos.note ~site:(me st)
-                (Printf.sprintf "v%d" votes.n_pending);
+              if Camelot_chaos.attached () then
+                Camelot_chaos.note ~site:(me st)
+                  (Printf.sprintf "v%d" votes.n_pending);
               wait_round retries
           | Protocol.Vote_no ->
               votes.refused <- true)
@@ -183,8 +185,9 @@ let collect_votes st fam mb ~subs ~prepare_msg =
       | None ->
           if fam.f_outcome <> None || retries >= st.config.max_vote_retries then ()
           else begin
-            tracef st "vote" "%a: revoting %d subordinate(s)" Tid.pp tid
-              votes.n_pending;
+            if tracing st then
+              tracef st "vote" "%a: revoting %d subordinate(s)" Tid.pp tid
+                votes.n_pending;
             fan_out st ~dsts:(votes_pending votes) prepare_msg;
             wait_round (retries + 1)
           end

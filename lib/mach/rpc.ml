@@ -33,51 +33,61 @@ let fail callee reason =
   Fiber.sleep rpc_timeout_ms;
   raise (Rpc_failure { callee; reason })
 
-(* One timed leg; returns its measured duration. *)
-let leg site charge =
-  let start = Engine.now (Site.engine site) in
-  charge ();
-  Engine.now (Site.engine site) -. start
+let half_wire client model =
+  let open Cost_model in
+  let jitter = Rng.exponential (Site.rng client) ~mean:model.rpc_jitter_ms in
+  Fiber.sleep ((model.netmsg_rpc_ms /. 2.0) +. (jitter /. 2.0))
 
-let call_remote_accounted ~client ~server handler =
+(* The direct path: the handler runs on the client's own fiber, which
+   is sound because both sites share an engine. The clock is read at
+   every leg boundary, but the five §4.1 leg durations are only worked
+   out when [legs] asks for them. *)
+let call_colocated ?legs ~client ~server handler =
   let model = Site.model client in
   let open Cost_model in
   if not (Site.colocated client server) then
     invalid_arg "Rpc.call_remote_accounted: sites on different shards";
   if not (Site.alive server) then fail (Site.id server) "server site down";
   let incarnation = Site.incarnation server in
-  let half_wire () =
-    let jitter = Rng.exponential (Site.rng client) ~mean:model.rpc_jitter_ms in
-    Fiber.sleep ((model.netmsg_rpc_ms /. 2.0) +. (jitter /. 2.0))
-  in
-  let t_client_ipc = leg client (fun () -> Site.cpu_use client model.comman_ipc_ms) in
-  let t_client_cpu = leg client (fun () -> Site.cpu_use client model.comman_cpu_ms) in
-  let wire_start = Engine.now (Site.engine client) in
-  half_wire ();
+  let c_eng = Site.engine client and s_eng = Site.engine server in
+  let start = Engine.now c_eng in
+  Site.cpu_use client model.comman_ipc_ms;
+  let client_cpu_start = Engine.now c_eng in
+  Site.cpu_use client model.comman_cpu_ms;
+  let wire_start = Engine.now c_eng in
+  half_wire client model;
   if (not (Site.alive server)) || Site.incarnation server <> incarnation then
     fail (Site.id server) "server crashed before processing";
-  let t_server_cpu = leg server (fun () -> Site.cpu_use server model.comman_cpu_ms) in
-  let t_server_ipc = leg server (fun () -> Site.cpu_use server model.comman_ipc_ms) in
-  let handler_start = Engine.now (Site.engine server) in
+  let server_start = Engine.now s_eng in
+  Site.cpu_use server model.comman_cpu_ms;
+  let server_ipc_start = Engine.now s_eng in
+  Site.cpu_use server model.comman_ipc_ms;
+  let handler_start = Engine.now s_eng in
   let result = handler () in
-  let t_handler = Engine.now (Site.engine server) -. handler_start in
+  let handler_end = Engine.now s_eng in
   if (not (Site.alive server)) || Site.incarnation server <> incarnation then
     fail (Site.id server) "server crashed before reply";
-  half_wire ();
-  let t_wire =
-    Engine.now (Site.engine client)
-    -. wire_start -. t_server_cpu -. t_server_ipc -. t_handler
-  in
-  let legs =
-    [
-      ("client CornMan<->NetMsgServer IPC", t_client_ipc);
-      ("client CornMan CPU", t_client_cpu);
-      ("NetMsgServer-to-NetMsgServer RPC", t_wire);
-      ("server CornMan CPU", t_server_cpu);
-      ("server CornMan<->NetMsgServer IPC", t_server_ipc);
-    ]
-  in
-  (result, legs)
+  half_wire client model;
+  (match legs with
+  | None -> ()
+  | Some legs ->
+      let t_server_cpu = server_ipc_start -. server_start in
+      let t_server_ipc = handler_start -. server_ipc_start in
+      let t_handler = handler_end -. handler_start in
+      legs.(0) <- client_cpu_start -. start;
+      legs.(1) <- wire_start -. client_cpu_start;
+      legs.(2) <-
+        Engine.now c_eng -. wire_start -. t_server_cpu -. t_server_ipc
+        -. t_handler;
+      legs.(3) <- t_server_cpu;
+      legs.(4) <- t_server_ipc);
+  result
+
+let call_remote_accounted ~client ~server handler =
+  let legs = Array.make 5 0.0 in
+  let result = call_colocated ~legs ~client ~server handler in
+  let labels = List.map fst (Cost_model.rpc_legs (Site.model client)) in
+  (result, List.combine labels (Array.to_list legs))
 
 (* Cross-shard RPC. The accounted path above runs the handler on the
    client's own fiber, which is only sound when both sites share an
@@ -145,4 +155,4 @@ let call_remote ~client ~server handler =
   match Site.fabric client with
   | Some fabric when not (Site.colocated client server) ->
       call_remote_fabric fabric ~client ~server handler
-  | _ -> fst (call_remote_accounted ~client ~server handler)
+  | _ -> call_colocated ~client ~server handler

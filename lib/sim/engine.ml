@@ -32,7 +32,10 @@
 
 type timer = { mutable live : bool; mutable fn : unit -> unit }
 
-type event = Call of (unit -> unit) | Timer of timer
+(* An event applies a function to its argument: fibers queue their
+   resumer record as the argument, so a wakeup allocates no closure;
+   plain callbacks are applied to [()]. *)
+type event = Apply : ('a -> unit) * 'a -> event | Timer of timer
 
 type timers = Heap_timers | Wheel_timers
 
@@ -44,7 +47,7 @@ type queue = Qheap of event Heap.t | Qwheel of event Wheel.t
 let noop () = ()
 
 (* shared sentinel for vacated ring slots *)
-let noop_event = Call noop
+let noop_event = Apply (noop, ())
 
 type t = {
   mutable now : float;
@@ -130,17 +133,19 @@ let ring_pop t =
   t.len <- t.len - 1;
   ev
 
-let push_event t ~time ev =
+let[@inline] push_event t ~time ev =
   let seq = t.seq in
   t.seq <- seq + 1;
   if time <= t.now then ring_push t seq ev
   else q_push t.queue ~priority:time ~seq ev
 
-let schedule_at t ~time f = push_event t ~time (Call f)
+let schedule_at t ~time f = push_event t ~time (Apply (f, ()))
 
-let schedule t ~delay f =
+let schedule_apply t ~delay f x =
   if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
-  push_event t ~time:(t.now +. delay) (Call f)
+  push_event t ~time:(t.now +. delay) (Apply (f, x))
+
+let schedule t ~delay f = schedule_apply t ~delay f ()
 
 let schedule_timer t ~delay f =
   if delay < 0.0 then invalid_arg "Engine.schedule_timer: negative delay";
@@ -178,9 +183,9 @@ let rec exec_next t ~limit =
     else if t.now > limit then false
     else
       match ring_pop t with
-      | Call f ->
+      | Apply (f, x) ->
           t.executed <- t.executed + 1;
-          f ();
+          f x;
           true
       | Timer tm ->
           if tm.live then begin
@@ -200,10 +205,10 @@ and exec_heap t ~limit =
   if time > limit then false
   else
     match q_pop_exn t.queue with
-    | Call f ->
+    | Apply (f, x) ->
         t.now <- time;
         t.executed <- t.executed + 1;
-        f ();
+        f x;
         true
     | Timer tm ->
         if tm.live then begin

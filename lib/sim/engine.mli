@@ -28,6 +28,11 @@ val now : t -> float
     identical either way. *)
 val schedule : t -> delay:float -> (unit -> unit) -> unit
 
+(** [schedule_apply t ~delay f x] is [schedule t ~delay (fun () -> f x)]
+    without allocating the closure: the event holds [f] and [x]
+    directly. Same ordering and validation as {!schedule}. *)
+val schedule_apply : t -> delay:float -> ('a -> unit) -> 'a -> unit
+
 (** [schedule_timer t ~delay f] is [schedule t ~delay f] returning a
     cancel handle. Cancelling before the timer fires guarantees [f]
     never runs and releases [f] immediately (its captured state becomes

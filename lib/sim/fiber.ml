@@ -1,17 +1,71 @@
 exception Cancelled
 
-type 'a resumer = { fire : ('a, exn) result -> unit; pending : unit -> bool }
+(* One blocked fiber is one [Blocked] record: the captured
+   continuation, the fiber it belongs to, its group registration and
+   the result it will be woken with. The engine queues the record
+   itself ([Engine.schedule_apply]), and the group's kill table stores
+   it unwrapped, so blocking allocates no closure and no box of its
+   own. The table also holds [Group.register] hooks, which is why a
+   hook is a [resumer] too; no hook is ever handed out as one.
 
-let resume r v = r.fire v
+   [reg] is the whole wake state: [unregistered] while pending outside
+   any group (or while being set up), a kill-table id (>= 0) while
+   pending inside a live group, [fired] once woken or cancelled. *)
+type 'a resumer =
+  | Blocked of {
+      k : ('a, unit) Effect.Deep.continuation;
+      fib : fiber;
+      mutable reg : int;
+      mutable result : ('a, exn) result;
+    }
+  | Hook of (unit -> unit)
 
-let is_pending r = r.pending ()
+and fiber = {
+  eng : Engine.t;
+  group : group option;
+  (* the duration of the [Sleep] being handled: the [Sleep] handler is
+     built once per spawn, so its payload reaches it through here *)
+  mutable delay : float;
+}
+
+and group = {
+  mutable killed : bool;
+  cancels : (int, entry) Hashtbl.t;
+  mutable next_id : int;
+}
+
+and entry = Entry : 'a resumer -> entry [@@unboxed]
+
+let unregistered = -1
+let fired = -2
+
+let cancelled = Error Cancelled
+let ok_unit = Ok ()
+
+let deliver = function
+  | Blocked { k; result = Ok v; _ } -> Effect.Deep.continue k v
+  | Blocked { k; result = Error e; _ } -> Effect.Deep.discontinue k e
+  | Hook _ -> ()
+
+let unregister g id = Hashtbl.remove g.cancels id
+
+(* Waking goes through the same-instant ring, never inline, preserving
+   run-to-completion semantics of the current event. *)
+let resume r result =
+  match r with
+  | Blocked b when b.reg <> fired ->
+      let id = b.reg in
+      b.reg <- fired;
+      b.result <- result;
+      (if id >= 0 then
+         match b.fib.group with Some g -> unregister g id | None -> ());
+      Engine.schedule_apply b.fib.eng ~delay:0.0 deliver r
+  | Blocked _ | Hook _ -> ()
+
+let is_pending = function Blocked b -> b.reg <> fired | Hook _ -> false
 
 module Group = struct
-  type t = {
-    mutable killed : bool;
-    cancels : (int, unit -> unit) Hashtbl.t;
-    mutable next_id : int;
-  }
+  type t = group
 
   let create () = { killed = false; cancels = Hashtbl.create 16; next_id = 0 }
 
@@ -20,86 +74,81 @@ module Group = struct
   let kill t =
     if not t.killed then begin
       t.killed <- true;
-      let pending = Hashtbl.fold (fun _ cancel acc -> cancel :: acc) t.cancels [] in
+      let pending = Hashtbl.fold (fun _ e acc -> e :: acc) t.cancels [] in
       Hashtbl.reset t.cancels;
-      List.iter (fun cancel -> cancel ()) pending
+      List.iter
+        (fun (Entry r) ->
+          match r with Hook hook -> hook () | Blocked _ -> resume r cancelled)
+        pending
     end
 
-  let register t cancel =
+  let add t r =
     let id = t.next_id in
     t.next_id <- id + 1;
-    Hashtbl.replace t.cancels id cancel;
+    Hashtbl.replace t.cancels id (Entry r);
     id
 
-  let unregister t id = Hashtbl.remove t.cancels id
-end
+  let register t hook = add t (Hook hook)
 
-type context = { ctx_engine : Engine.t; ctx_group : Group.t option }
+  let unregister = unregister
+end
 
 type _ Effect.t +=
   | Sleep : float -> unit Effect.t
   | Suspend : ('a resumer -> unit) -> 'a Effect.t
-  | Context : context Effect.t
+  | Context : fiber Effect.t
 
 let default_on_exn name exn =
   Format.eprintf "[camelot_sim] fiber %s died: %s@." name (Printexc.to_string exn)
 
-(* Wrap a continuation resumption so that it fires at most once, goes
-   through the event queue (preserving run-to-completion semantics of the
-   current event), and can be cancelled by the fiber's group. *)
-let make_firing (type a b) eng group
-    (k : (a, b) Effect.Deep.continuation) : a resumer =
-  let fired = ref false in
-  let registration = ref None in
-  let fire result =
-    if not !fired then begin
-      fired := true;
-      (match (!registration, group) with
-      | Some id, Some g -> Group.unregister g id
-      | _ -> ());
-      Engine.schedule eng ~delay:0.0 (fun () ->
-          match result with
-          | Ok v -> ignore (Effect.Deep.continue k v : b)
-          | Error e -> ignore (Effect.Deep.discontinue k e : b))
-    end
-  in
-  (match group with
-  | Some g when not (Group.killed g) ->
-      registration := Some (Group.register g (fun () -> fire (Error Cancelled)))
-  | Some _ -> fire (Error Cancelled)
-  | None -> ());
-  { fire; pending = (fun () -> not !fired) }
+(* Capture [k] as a pending resumer, joined to the fiber's group; on an
+   already-killed group it is cancelled at once. *)
+let block fib k =
+  let r = Blocked { k; fib; reg = unregistered; result = cancelled } in
+  (match (r, fib.group) with
+  | Blocked b, Some g when not g.killed -> b.reg <- Group.add g r
+  | _, Some _ -> resume r cancelled
+  | _, None -> ());
+  r
+
+(* A sleep is a timed event that wakes the resumer, followed by the
+   usual wake hop through the same-instant ring: the second hop is what
+   gives the woken fiber its [(time, seq)] slot among the other events
+   of that instant, so it is kept even though the timer could continue
+   the fiber directly. A resumer already cancelled by a kill ignores
+   its timer. *)
+let wake_sleeper r = resume r ok_unit
 
 let spawn eng ?group ?(name = "fiber") ?on_exn fn =
   let on_exn = match on_exn with Some f -> f | None -> default_on_exn name in
-  let ctx = { ctx_engine = eng; ctx_group = group } in
+  let fib = { eng; group; delay = 0.0 } in
+  let on_sleep =
+    Some
+      (fun k ->
+        Engine.schedule_apply eng ~delay:fib.delay wake_sleeper (block fib k))
+  in
+  let on_context = Some (fun k -> Effect.Deep.continue k fib) in
   let handler =
     {
       Effect.Deep.retc = (fun () -> ());
       exnc =
         (fun e -> match e with Cancelled -> () | e -> on_exn e);
       effc =
-        (fun (type b) (eff : b Effect.t) ->
+        (fun (type b) (eff : b Effect.t) :
+             ((b, unit) Effect.Deep.continuation -> unit) option ->
           match eff with
           | Sleep d ->
-              Some
-                (fun (k : (b, unit) Effect.Deep.continuation) ->
-                  let r = make_firing eng group k in
-                  Engine.schedule eng ~delay:d (fun () -> resume r (Ok ())))
+              fib.delay <- d;
+              on_sleep
           | Suspend register ->
-              Some
-                (fun (k : (b, unit) Effect.Deep.continuation) ->
-                  register (make_firing eng group k))
-          | Context ->
-              Some
-                (fun (k : (b, unit) Effect.Deep.continuation) ->
-                  Effect.Deep.continue k ctx)
+              Some (fun k -> register (block fib k))
+          | Context -> on_context
           | _ -> None);
     }
   in
   Engine.schedule eng ~delay:0.0 (fun () ->
       match group with
-      | Some g when Group.killed g -> ()
+      | Some g when g.killed -> ()
       | Some _ | None -> Effect.Deep.match_with fn () handler)
 
 let run eng fn =
@@ -121,9 +170,7 @@ let sleep d = Effect.perform (Sleep d)
 
 let yield () = sleep 0.0
 
-let context () = Effect.perform Context
-
-let engine () = (context ()).ctx_engine
+let engine () = (Effect.perform Context).eng
 
 let now () = Engine.now (engine ())
 

@@ -23,7 +23,9 @@ let add t record =
 
 (* When disabled, the format arguments are consumed without being
    rendered: [ikfprintf] never touches the formatter, so a disabled
-   trace costs one branch — not a [kasprintf] per event. *)
+   record skips the [kasprintf]. It still builds a small closure per
+   format argument, so hot call sites test [enabled] first and pay only
+   that branch. *)
 let record t eng ~tag fmt =
   if t.enabled then
     Format.kasprintf

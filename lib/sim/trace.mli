@@ -1,9 +1,11 @@
 (** Lightweight event tracing for debugging simulations.
 
     A trace is a bounded ring of [(virtual time, tag, message)] records.
-    Tracing costs nothing when disabled. The protocol implementations
-    tag every message send/receive and log write, so a failed test can
-    dump the exact interleaving that produced it. *)
+    A disabled {!record} renders nothing, but still allocates a little
+    per format argument; call sites on hot paths test {!enabled} first,
+    which makes a disabled trace cost one branch. The protocol
+    implementations tag every message send/receive and log write, so a
+    failed test can dump the exact interleaving that produced it. *)
 
 type t
 

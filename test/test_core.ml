@@ -208,6 +208,95 @@ let prop_static_nb_geq_2pc =
       path_total (completion_path rt ~protocol:Protocol.Nonblocking w)
       >= path_total (completion_path rt ~protocol:Protocol.Two_phase w))
 
+(* ------------------------------------------------------------------ *)
+(* Disabled instrumentation is free: with tracing off and no explorer
+   attached, a trace site and a formatted chaos-note site allocate
+   nothing. Measured in minor words over a warmed-up loop; the counts
+   are exact, so the ceiling is zero. *)
+
+let words_per_call f =
+  let n = 1000 in
+  for _ = 1 to 100 do
+    f ()
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+(* A TranMan state with nothing started and no endpoints: [State.send]
+   to an unknown site is then nothing but its trace site. *)
+let bare_state () =
+  let open Camelot_sim in
+  let open Camelot_mach in
+  let eng = Engine.create () in
+  let rng = Rng.create ~seed:5 in
+  let site = Site.create eng ~id:0 ~model:Cost_model.rt ~rng:(Rng.split rng) in
+  {
+    State.site;
+    lan = Camelot_net.Lan.create eng ~model:Cost_model.rt ~rng:(Rng.split rng);
+    log = Camelot_wal.Log.create site;
+    config = State.default_config ();
+    directory = Hashtbl.create 1;
+    endpoint = None;
+    pool = None;
+    families = Hashtbl.create 1;
+    families_mutex = Sync.Mutex.create ();
+    servers = Hashtbl.create 1;
+    next_seq = 0;
+    waiters = Hashtbl.create 1;
+    stats =
+      {
+        n_begun = 0;
+        n_committed = 0;
+        n_aborted = 0;
+        n_distributed = 0;
+        n_takeovers = 0;
+        n_inquiries = 0;
+        n_heuristic = 0;
+        n_heuristic_damage = 0;
+      };
+    trace = Trace.create ~enabled:false ();
+  }
+
+let test_trace_site_free_when_off () =
+  let st = bare_state () in
+  let msg =
+    Protocol.Vote
+      { m_tid = root0; m_from = 0; m_vote = Protocol.Vote_yes { read_only = false } }
+  in
+  let words = words_per_call (fun () -> State.send st ~dst:99 msg) in
+  Alcotest.(check (float 0.0)) "tracing off: no allocation" 0.0 words;
+  Camelot_sim.Trace.set_enabled st.State.trace true;
+  State.send st ~dst:99 msg;
+  Alcotest.(check (list string)) "tracing on: the site records"
+    [ "no endpoint for site 99" ]
+    (List.map (fun r -> r.Camelot_sim.Trace.message) (Camelot_sim.Trace.dump st.trace))
+
+(* The guarded form every formatted note site uses. *)
+let note_votes_pending n =
+  if Camelot_chaos.attached () then
+    Camelot_chaos.note ~site:0 (Printf.sprintf "v%d" n)
+
+let test_chaos_note_free_when_detached () =
+  Camelot_chaos.detach ();
+  let n = ref 0 in
+  let words =
+    words_per_call (fun () ->
+        incr n;
+        note_votes_pending !n)
+  in
+  Alcotest.(check (float 0.0)) "detached: no allocation" 0.0 words;
+  Camelot_chaos.attach
+    ~on_hit:(fun ~point:_ ~site:_ -> Camelot_chaos.Pass)
+    ~crash:(fun ~site:_ -> ());
+  Fun.protect ~finally:Camelot_chaos.detach (fun () ->
+      Camelot_chaos.reset_notes ();
+      note_votes_pending 3;
+      Alcotest.(check string) "attached: the note lands" "v3"
+        (Camelot_chaos.noted ~site:0))
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -240,4 +329,11 @@ let () =
           Alcotest.test_case "reads force nothing" `Quick test_static_reads_have_no_forces;
         ]
         @ qcheck [ prop_static_monotone_in_subordinates; prop_static_nb_geq_2pc ] );
+      ( "instrumentation",
+        [
+          Alcotest.test_case "trace site free when off" `Quick
+            test_trace_site_free_when_off;
+          Alcotest.test_case "chaos note site free when detached" `Quick
+            test_chaos_note_free_when_detached;
+        ] );
     ]
