@@ -61,7 +61,7 @@ let executor_loop t s () =
         match take t s with
         | Some job -> run_job t job
         | None ->
-            let job = Fiber.suspend (fun r -> Ring.push s.waiters r) in
+            let job = Fiber.suspend_with Ring.push s.waiters in
             run_job t job
       done
   | Some k ->
@@ -78,7 +78,7 @@ let executor_loop t s () =
         let job =
           match take t s with
           | Some job -> job
-          | None -> Fiber.suspend (fun r -> Ring.push s.waiters r)
+          | None -> Fiber.suspend_with Ring.push s.waiters
         in
         Site.cpu_use t.site switch_ms;
         run_job t job;

@@ -79,9 +79,14 @@ let spool_update t tid ~key ~old_v ~new_v =
   if not (Camelot_wal.Log.defers_spool_cpu t.log) then
     Site.cpu_use t.site (Site.model t.site).Cost_model.log_spool_cpu_ms;
   (* dependency edge: one probe of the log's last-writer table, -1 in
-     default mode. The append must follow immediately (no suspension
-     point) so the LSN [dep_next] recorded is this record's. *)
-  let dep = Camelot_wal.Log.dep_next t.log ~key:(t.name ^ "/" ^ key) in
+     default mode, where the chain key is not even built. The append
+     must follow immediately (no suspension point) so the LSN
+     [dep_next] recorded is this record's. *)
+  let dep =
+    if Camelot_wal.Log.dep_logging t.log then
+      Camelot_wal.Log.dep_next t.log ~key:(t.name ^ "/" ^ key)
+    else -1
+  in
   ignore
     (Camelot_wal.Log.append t.log
        (Record.Update

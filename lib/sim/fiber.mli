@@ -28,7 +28,9 @@ val is_pending : 'a resumer -> bool
 
 module Group : sig
   (** A kill-switch shared by a set of fibers (e.g. all processes of
-      one simulated site incarnation). *)
+      one simulated site incarnation). It holds at most 2{^22} blocked
+      fibers and hooks at once; blocking or registering past that
+      raises [Failure]. *)
   type t
 
   val create : unit -> t
@@ -45,9 +47,14 @@ module Group : sig
       {!unregister}. This is how non-member fibers blocked on a reply
       from the group observe its death. Registering on an
       already-killed group does {e not} run the hook — check
-      {!killed} first. *)
+      {!killed} first.
+      @raise Failure if the group has handed out more registrations
+      than a handle can encode (2{^40} on a 64-bit host). *)
   val register : t -> (unit -> unit) -> int
 
+  (** [unregister t h] drops the hook registered as [h]. A stale
+      handle — its hook already unregistered, or run by a kill — is a
+      no-op, even once its slot holds a newer entry. *)
   val unregister : t -> int -> unit
 end
 
@@ -86,6 +93,12 @@ val now : unit -> float
     stores the resumer in some wait queue. If the fiber's group is
     killed first, the fiber raises {!Cancelled} instead. *)
 val suspend : ('a resumer -> unit) -> 'a
+
+(** [suspend_with register x] is [suspend (register x)] without
+    building that closure: wait queues pass a toplevel [register] and
+    their own state as [x], so blocking on them allocates nothing
+    beyond the resumer. *)
+val suspend_with : ('b -> 'a resumer -> unit) -> 'b -> 'a
 
 (** The engine driving the calling fiber. Lets library code schedule
     raw events without threading the engine everywhere. *)

@@ -16,9 +16,11 @@ type 'a t = {
   eng : Engine.t;
   items : 'a Ring.t;
   pending : 'a waiter Ring.t;
+  mutable timeout : float;  (* of the receive now suspending, < 0 = none *)
 }
 
-let create eng = { eng; items = Ring.create (); pending = Ring.create () }
+let create eng =
+  { eng; items = Ring.create (); pending = Ring.create (); timeout = -1.0 }
 
 let live w = (not w.timed_out) && Fiber.is_pending w.resume
 
@@ -42,29 +44,36 @@ let send t v =
 
 let try_recv t = Ring.pop_opt t.items
 
+(* The [Fiber.suspend_with] registration: queue the receiver and arm
+   its timeout, if it has one. *)
+let enqueue t resume =
+  let w = { resume; timed_out = false; cancel_timeout = no_timeout } in
+  Ring.push t.pending w;
+  let d = t.timeout in
+  if d >= 0.0 then
+    w.cancel_timeout <-
+      Engine.schedule_timer t.eng ~delay:d (fun () ->
+          if live w then begin
+            w.timed_out <- true;
+            Fiber.resume w.resume (Ok None)
+          end)
+
+(* [timeout] < 0 waits without one *)
 let recv_opt t ~timeout =
   match Ring.pop_opt t.items with
   | Some v -> Some v
   | None ->
-      Fiber.suspend (fun resume ->
-          let w = { resume; timed_out = false; cancel_timeout = no_timeout } in
-          Ring.push t.pending w;
-          match timeout with
-          | None -> ()
-          | Some d ->
-              w.cancel_timeout <-
-                Engine.schedule_timer t.eng ~delay:d (fun () ->
-                    if live w then begin
-                      w.timed_out <- true;
-                      Fiber.resume w.resume (Ok None)
-                    end))
+      t.timeout <- timeout;
+      Fiber.suspend_with enqueue t
 
 let recv t =
-  match recv_opt t ~timeout:None with
+  match recv_opt t ~timeout:(-1.0) with
   | Some v -> v
   | None -> assert false (* no timeout was armed *)
 
-let recv_timeout t d = recv_opt t ~timeout:(Some d)
+let recv_timeout t d =
+  if d < 0.0 then invalid_arg "Mailbox.recv_timeout: negative timeout";
+  recv_opt t ~timeout:d
 
 let length t = Ring.length t.items
 

@@ -17,7 +17,8 @@ val send : 'a t -> 'a -> unit
 val recv : 'a t -> 'a
 
 (** [recv_timeout t d] is [Some msg] if a message arrives within [d]
-    milliseconds of virtual time, else [None]. *)
+    milliseconds of virtual time, else [None].
+    @raise Invalid_argument if [d] is negative. *)
 val recv_timeout : 'a t -> float -> 'a option
 
 (** [try_recv t] pops a queued message without blocking. *)

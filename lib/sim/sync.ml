@@ -1,7 +1,8 @@
 (* Pop the next waiter whose fiber is still suspended; cancelled fibers
    (e.g. from a crashed site) are skipped so permits are never lost.
    Wait queues are [Ring]s, not [Queue]s: no cell allocation per
-   waiter. *)
+   waiter, and a waiter joins its ring through [Fiber.suspend_with],
+   with no registration closure either. *)
 let rec next_live_waiter waiters =
   match Ring.pop_opt waiters with
   | None -> None
@@ -19,7 +20,7 @@ module Mutex = struct
 
   let lock t =
     if not t.held then t.held <- true
-    else Fiber.suspend (fun resume -> Ring.push t.waiters resume)
+    else Fiber.suspend_with Ring.push t.waiters
 
   let unlock t =
     if not t.held then invalid_arg "Sync.Mutex.unlock: not locked";
@@ -39,14 +40,25 @@ module Mutex = struct
 end
 
 module Condition = struct
-  type t = { waiters : unit Fiber.resumer Ring.t }
+  type t = {
+    waiters : unit Fiber.resumer Ring.t;
+    (* the mutex the fiber now waiting releases once queued *)
+    mutable releasing : Mutex.t;
+  }
 
-  let create (_ : Engine.t) = { waiters = Ring.create () }
+  let no_mutex = Mutex.create ()
+
+  let create (_ : Engine.t) = { waiters = Ring.create (); releasing = no_mutex }
+
+  let enqueue t resume =
+    Ring.push t.waiters resume;
+    let mutex = t.releasing in
+    t.releasing <- no_mutex;
+    Mutex.unlock mutex
 
   let wait t mutex =
-    Fiber.suspend (fun resume ->
-        Ring.push t.waiters resume;
-        Mutex.unlock mutex);
+    t.releasing <- mutex;
+    Fiber.suspend_with enqueue t;
     Mutex.lock mutex
 
   let signal t =
@@ -73,7 +85,7 @@ module Semaphore = struct
 
   let acquire t =
     if t.permits > 0 then t.permits <- t.permits - 1
-    else Fiber.suspend (fun resume -> Ring.push t.waiters resume)
+    else Fiber.suspend_with Ring.push t.waiters
 
   let release t =
     match next_live_waiter t.waiters with

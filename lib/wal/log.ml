@@ -50,6 +50,7 @@ type 'a t = {
   (* daemon state *)
   waiters : unit Fiber.resumer Heap.t;  (* min-heap keyed by target LSN *)
   mutable waiter_seq : int;
+  mutable park_target : lsn;  (* what the fiber now parking waits for *)
   kick : unit Mailbox.t;  (* foreground -> controller *)
   wkick : unit Mailbox.t;  (* controller -> writer *)
   mutable serialized : lsn;  (* highest LSN whose batch CPU was charged *)
@@ -93,6 +94,7 @@ let create ?(group_commit = false) ?(batch_window_ms = 0.0) ?daemon
     dep_last = (if dep_logging then Some (Hashtbl.create 256) else None);
     waiters = Heap.create ();
     waiter_seq = 0;
+    park_target = -1;
     kick = Mailbox.create eng;
     wkick = Mailbox.create eng;
     serialized = -1;
@@ -264,15 +266,25 @@ let rec force_batched t target =
 
 (* --- daemon mode: LSN-ordered parking ---------------------------- *)
 
+(* [Fiber.suspend_with] registrations: queue resumer [r] on the LSN
+   heap until [t.park_target] is durable ... *)
+let enqueue_waiter t r =
+  let seq = t.waiter_seq in
+  t.waiter_seq <- seq + 1;
+  Heap.push t.waiters ~priority:(float_of_int t.park_target) ~seq r
+
+(* ... and ask the controller for a write that reaches it *)
+let enqueue_forcing t r =
+  enqueue_waiter t r;
+  let target = t.park_target in
+  if target > t.force_hi then begin
+    t.force_hi <- target;
+    Mailbox.send t.kick ()
+  end
+
 let park t ~target =
-  Fiber.suspend (fun r ->
-      let seq = t.waiter_seq in
-      t.waiter_seq <- seq + 1;
-      Heap.push t.waiters ~priority:(float_of_int target) ~seq r;
-      if target > t.force_hi then begin
-        t.force_hi <- target;
-        Mailbox.send t.kick ()
-      end)
+  t.park_target <- target;
+  Fiber.suspend_with enqueue_forcing t
 
 let force_daemon t target =
   if target > t.durable then begin
@@ -430,10 +442,8 @@ let rec wait_durable t lsn =
       (* park on the LSN heap without raising [force_hi]: a lazily
          written record rides along with the next write or the periodic
          flush — that is the point of not forcing it *)
-      Fiber.suspend (fun r ->
-          let seq = t.waiter_seq in
-          t.waiter_seq <- seq + 1;
-          Heap.push t.waiters ~priority:(float_of_int lsn) ~seq r);
+      t.park_target <- lsn;
+      Fiber.suspend_with enqueue_waiter t;
       wait_durable t lsn
     end
     else begin

@@ -97,20 +97,29 @@ let test_heap_min_accessors () =
    a reference model: every pop must return exactly the minimum by
    [(priority, seq)] — FIFO on ties — and [isheap] must hold
    throughout. [Some p] pushes priority [p] (0..7, so ties are
-   common), [None] pops. *)
+   common), [None] pops. The model is an ordered set of
+   [(priority, seq)] (seqs are unique), so a pop costs a logarithmic
+   step, not a re-sort of the whole model. *)
+module Heap_model = Set.Make (struct
+  type t = float * int
+
+  let compare (p1, s1) (p2, s2) =
+    match Float.compare p1 p2 with 0 -> Int.compare s1 s2 | c -> c
+end)
+
 let prop_heap_random_ops =
   QCheck.Test.make ~name:"heap matches reference model under random ops" ~count:300
     QCheck.(list (option (int_bound 7)))
     (fun ops ->
       let h = Heap.create () in
       let seq = ref 0 in
-      let model = ref [] in
-      let lt (p1, s1) (p2, s2) = p1 < p2 || (p1 = p2 && s1 < s2) in
+      let model = ref Heap_model.empty and size = ref 0 in
       let model_pop () =
-        match List.sort (fun a b -> if lt a b then -1 else 1) !model with
-        | [] -> None
-        | m :: _ ->
-            model := List.filter (fun e -> e <> m) !model;
+        match Heap_model.min_elt_opt !model with
+        | None -> None
+        | Some m ->
+            model := Heap_model.remove m !model;
+            decr size;
             Some m
       in
       let step op =
@@ -118,19 +127,22 @@ let prop_heap_random_ops =
         | Some p ->
             let entry = (float_of_int p, !seq) in
             Heap.push h ~priority:(fst entry) ~seq:!seq entry;
-            model := entry :: !model;
+            model := Heap_model.add entry !model;
+            incr size;
             incr seq
         | None ->
             if Heap.pop h <> model_pop () then
               QCheck.Test.fail_report "pop disagrees with reference model");
-        if Heap.length h <> List.length !model then
+        if Heap.length h <> !size then
           QCheck.Test.fail_report "length disagrees with reference model";
         if not (Heap.isheap ~check:true h) then
           QCheck.Test.fail_report "isheap violated"
       in
       List.iter step ops;
       (* drain: the remaining contents come out in exact model order *)
-      List.iter (fun _ -> step None) !model;
+      for _ = 1 to !size do
+        step None
+      done;
       Heap.is_empty h)
 
 (* ------------------------------------------------------------------ *)
@@ -684,19 +696,169 @@ let test_fiber_kill_order () =
   let order = merge 0 fibers (List.rev !hooks) in
   Alcotest.(check (list string)) "kill order" kill_order_expected order
 
+(* The kill table against a reference model: the id-keyed Stdlib
+   [Hashtbl] it replaced. A random block / wake / register / unregister
+   sequence ends in a kill, whose cancel order must be the model's
+   [fold]-then-cons order. Unregisters may reuse stale handles, some of
+   whose slots already went to newer entries, and [Wake_all] drains the
+   table well below its peak, which the emulated bucket count must not
+   follow. *)
+type kill_op =
+  | Block of int
+  | Sleepers of int
+  | Wake of int
+  | Wake_all
+  | Hook
+  | Unhook of int
+
+let kill_order_agrees ops =
+  let eng = Engine.create () in
+  let group = Fiber.Group.create () in
+  (* the model: registration id -> label, in the replaced table's shape
+     ([Hashtbl.create 16], [replace] on register, [remove] on wake or
+     unregister) *)
+  let model = Hashtbl.create 16 and next_id = ref 0 in
+  let enter label =
+    let id = !next_id in
+    incr next_id;
+    Hashtbl.replace model id label;
+    id
+  in
+  let blocked = ref [||] and nblocked = ref 0 in
+  let hooks = ref [||] and nhooks = ref 0 in
+  let push arr n x =
+    if !n = Array.length !arr then arr := Array.append !arr (Array.make (max 16 !n) x);
+    !arr.(!n) <- x;
+    incr n
+  in
+  let cancelled = ref [] and hook_runs = ref [] and base = ref 0 in
+  let block ~sleep =
+    let label = Printf.sprintf "f%d" !nblocked in
+    let id = enter label in
+    let slot = ref None in
+    push blocked nblocked (id, slot);
+    Fiber.spawn eng ~group (fun () ->
+        try
+          if sleep then Fiber.sleep 1e9 else Fiber.suspend (fun r -> slot := Some r)
+        with Fiber.Cancelled -> cancelled := label :: !cancelled)
+  in
+  let wake = function
+    | id, { contents = Some r } ->
+        if Fiber.is_pending r then Hashtbl.remove model id;
+        Fiber.resume r (Ok ())
+    | _, { contents = None } -> () (* a sleeper: only its timer wakes it *)
+  in
+  let apply = function
+    | Block n -> for _ = 1 to n do block ~sleep:false done
+    | Sleepers n -> for _ = 1 to n do block ~sleep:true done
+    | Wake i when !nblocked > 0 -> wake !blocked.(i mod !nblocked)
+    | Wake_all -> Array.iteri (fun i b -> if i < !nblocked then wake b) !blocked
+    | Hook ->
+        let label = Printf.sprintf "h%d" !nhooks in
+        let id = enter label in
+        let handle =
+          Fiber.Group.register group (fun () ->
+              hook_runs := (label, Engine.pending eng - !base) :: !hook_runs)
+        in
+        push hooks nhooks (id, handle)
+    | Unhook i when !nhooks > 0 ->
+        let id, handle = !hooks.(i mod !nhooks) in
+        Hashtbl.remove model id;
+        Fiber.Group.unregister group handle
+    | Wake _ | Unhook _ -> ()
+  in
+  (* ops apply between engine instants, so blocks register in spawn
+     order, the order the model numbered them in *)
+  List.iter
+    (fun op ->
+      apply op;
+      Engine.run eng ~until:(Engine.now eng))
+    ops;
+  let expected = Hashtbl.fold (fun _ label acc -> label :: acc) model [] in
+  base := Engine.pending eng;
+  Fiber.Group.kill group;
+  Engine.run eng ~until:(Engine.now eng);
+  (* hooks ran inline during the kill, fibers' cancellations were
+     queued in kill order: a hook's stamp counts the fibers before it *)
+  let rec merge pos fibers hooks =
+    match hooks with
+    | (h, at) :: rest when at <= pos -> h :: merge pos fibers rest
+    | _ -> (
+        match fibers with
+        | f :: rest -> f :: merge (pos + 1) rest hooks
+        | [] -> List.map fst hooks)
+  in
+  (merge 0 (List.rev !cancelled) (List.rev !hook_runs) = expected, model)
+
+(* Every case includes one burst of 129 to 3000 blocks, so the emulated
+   bucket count doubles at least three times (16 -> 128). *)
+let kill_ops_gen =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (3, map (fun n -> Block n) (int_range 1 40));
+        (1, map (fun n -> Sleepers n) (int_range 1 20));
+        (4, map (fun i -> Wake i) nat);
+        (1, return Wake_all);
+        (3, return Hook);
+        (3, map (fun i -> Unhook i) nat);
+      ]
+  in
+  map3
+    (fun ops burst pos ->
+      let pos = pos mod (List.length ops + 1) in
+      List.filteri (fun i _ -> i < pos) ops
+      @ (Block burst :: List.filteri (fun i _ -> i >= pos) ops))
+    (list_size (int_range 0 120) op)
+    (int_range 129 3000) nat
+
+let print_kill_op = function
+  | Block n -> Printf.sprintf "Block %d" n
+  | Sleepers n -> Printf.sprintf "Sleepers %d" n
+  | Wake i -> Printf.sprintf "Wake %d" i
+  | Wake_all -> "Wake_all"
+  | Hook -> "Hook"
+  | Unhook i -> Printf.sprintf "Unhook %d" i
+
+let prop_kill_table_matches_hashtbl =
+  QCheck.Test.make ~name:"kill order matches an id-keyed Hashtbl" ~count:60
+    (QCheck.make ~print:QCheck.Print.(list print_kill_op) kill_ops_gen)
+    (fun ops ->
+      let agrees, model = kill_order_agrees ops in
+      if (Hashtbl.stats model).Hashtbl.num_buckets < 128 then
+        QCheck.Test.fail_report "fewer than three emulated resizes";
+      agrees)
+
+(* The bucket count doubles only once the table holds {e more} than two
+   entries per bucket: kills at, just below and just above each
+   threshold. *)
+let test_fiber_kill_order_resize_boundaries () =
+  List.iter
+    (fun n ->
+      let agrees, _ = kill_order_agrees [ Block n; Hook; Wake 0 ] in
+      if not agrees then Alcotest.failf "kill order differs with %d entries" n)
+    [ 31; 32; 33; 63; 64; 65; 127; 128; 129; 255; 256; 257; 511; 512; 513 ]
+
 (* Allocation ceilings: minor-heap words per blocking operation,
    measured over a warmed-up loop on one domain. The counts are exact
    for a given compiler, so a change that puts a closure or a box back
    on the blocking path fails here rather than only in the benchmark.
-   The closure-based blocking this replaced measured 62 words for a
-   grouped sleep and 52 for a suspend/resume pair; both now take 24. *)
+   A grouped sleep takes 20 words, a suspend/resume pair 14 and a
+   contended mutex lock/unlock 34 (with the holder's yield that makes
+   it contended); each ceiling leaves 2 words of slack. *)
 
-let words_per_op ?group body =
+let iterations = 2200
+
+(* [partner], if given, runs as a second fiber of the same engine and
+   group, started first *)
+let words_per_op ?group ?partner body =
   let eng = Engine.create () in
   let n = 2000 in
   let words = ref nan in
+  Option.iter (fun partner -> Fiber.spawn eng ?group partner) partner;
   Fiber.spawn eng ?group (fun () ->
-      for _ = 1 to 200 do
+      for _ = 1 to iterations - n do
         body ()
       done;
       let before = Gc.minor_words () in
@@ -714,7 +876,7 @@ let check_ceiling what ~ceiling words =
 
 let test_alloc_grouped_sleep () =
   let group = Fiber.Group.create () in
-  check_ceiling "grouped Fiber.sleep" ~ceiling:32.0
+  check_ceiling "grouped Fiber.sleep" ~ceiling:22.0
     (words_per_op ~group (fun () -> Fiber.sleep 1.0))
 
 let test_alloc_suspend_resume () =
@@ -722,8 +884,27 @@ let test_alloc_suspend_resume () =
      exactly one suspend and one resume; [register] is allocated once *)
   let register r = Fiber.resume r (Ok ()) in
   let group = Fiber.Group.create () in
-  check_ceiling "suspend + resume" ~ceiling:32.0
+  check_ceiling "suspend + resume" ~ceiling:16.0
     (words_per_op ~group (fun () -> Fiber.suspend register))
+
+let test_alloc_contended_mutex () =
+  (* two fibers take turns: each holds the mutex across a yield, so the
+     other's lock always queues and every unlock hands the mutex over;
+     one measured iteration is one lock/unlock pair of each fiber *)
+  let m = Sync.Mutex.create () in
+  let body () =
+    Sync.Mutex.lock m;
+    Fiber.yield ();
+    Sync.Mutex.unlock m
+  in
+  let partner () =
+    for _ = 1 to iterations do
+      body ()
+    done
+  in
+  let group = Fiber.Group.create () in
+  check_ceiling "contended Sync.Mutex lock + unlock" ~ceiling:36.0
+    (words_per_op ~group ~partner body /. 2.0)
 
 (* ------------------------------------------------------------------ *)
 (* Mailbox *)
@@ -1140,7 +1321,12 @@ let () =
             test_alloc_grouped_sleep;
           Alcotest.test_case "suspend/resume allocation ceiling" `Quick
             test_alloc_suspend_resume;
-        ] );
+          Alcotest.test_case "contended mutex allocation ceiling" `Quick
+            test_alloc_contended_mutex;
+          Alcotest.test_case "kill order at resize boundaries" `Quick
+            test_fiber_kill_order_resize_boundaries;
+        ]
+        @ qcheck [ prop_kill_table_matches_hashtbl ] );
       ( "mailbox",
         [
           Alcotest.test_case "FIFO delivery" `Quick test_mailbox_fifo;
