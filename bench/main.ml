@@ -31,16 +31,7 @@ let json_path =
 let reproduce () =
   let reps = if quick then 40 else 150 in
   let horizon_ms = if quick then 20_000.0 else 60_000.0 in
-  Camelot_experiments.Table1.run ();
-  Camelot_experiments.Table2.run ~reps ();
-  Camelot_experiments.Rpc_breakdown.run ~reps:(if quick then 200 else 1000) ();
-  Camelot_experiments.Fig2.run ~reps ();
-  Camelot_experiments.Table3.run ~reps ();
-  Camelot_experiments.Fig3.run ~reps ();
-  Camelot_experiments.Fig4.run ~horizon_ms ();
-  Camelot_experiments.Fig5.run ~horizon_ms ();
-  Camelot_experiments.Multicast.run ~reps:(if quick then 100 else 300) ();
-  Camelot_experiments.Ablations.run ~reps:(if quick then 30 else 80) ();
+  Camelot_experiments.Reproduction.run ~reps ~horizon_ms ();
   (* keep this last: everything above must stay byte-identical across
      perf-only PRs, so new sections only ever append *)
   Camelot_experiments.Throughput.run ~horizon_ms ()
@@ -159,21 +150,6 @@ let bench_engine_cancel () =
       Camelot_sim.Engine.schedule_timer eng ~delay:(float_of_int i) (fun () -> ())
     in
     if i mod 5 <> 0 then cancel ()
-  done;
-  Camelot_sim.Engine.run eng
-
-(* Timer-backend scaling: schedule [n] pending timers spread across the
-   wheel's 2s window, then drain. The same workload runs on both
-   backends; compare.exe requires the wheel to win from 100k pending up
-   (at 1k the global heap is still competitive — that crossover is the
-   point of keeping it the default for the closed-loop experiments). *)
-let nop () = ()
-
-let bench_timers ~timers n () =
-  let eng = Camelot_sim.Engine.create ~timers () in
-  for i = 0 to n - 1 do
-    let delay = float_of_int ((i * 7919) land 2047) +. 0.25 in
-    Camelot_sim.Engine.schedule eng ~delay nop
   done;
   Camelot_sim.Engine.run eng
 
@@ -366,28 +342,6 @@ let tests =
                  : Camelot_experiments.Throughput.result)));
     ]
 
-(* The timer-backend scaling group runs AFTER (and apart from) the main
-   group, behind a [Gc.compact]: the 1M-pending runs grow the major
-   heap by hundreds of MB, and any bench measured in the same process
-   afterwards would pay their GC and locality tax — which is exactly
-   the uniform phantom "regression" the baseline diff would flag. *)
-let timer_tests =
-  Test.make_grouped ~name:"camelot" ~fmt:"%s/%s"
-    [
-      Test.make ~name:"sim: timers pending=1000 (heap)"
-        (Staged.stage (bench_timers ~timers:Camelot_sim.Engine.Heap_timers 1_000));
-      Test.make ~name:"sim: timers pending=1000 (wheel)"
-        (Staged.stage (bench_timers ~timers:Camelot_sim.Engine.Wheel_timers 1_000));
-      Test.make ~name:"sim: timers pending=100000 (heap)"
-        (Staged.stage (bench_timers ~timers:Camelot_sim.Engine.Heap_timers 100_000));
-      Test.make ~name:"sim: timers pending=100000 (wheel)"
-        (Staged.stage (bench_timers ~timers:Camelot_sim.Engine.Wheel_timers 100_000));
-      Test.make ~name:"sim: timers pending=1000000 (heap)"
-        (Staged.stage (bench_timers ~timers:Camelot_sim.Engine.Heap_timers 1_000_000));
-      Test.make ~name:"sim: timers pending=1000000 (wheel)"
-        (Staged.stage (bench_timers ~timers:Camelot_sim.Engine.Wheel_timers 1_000_000));
-    ]
-
 (* name -> ns/run estimates, sorted by name *)
 let micro_benchmarks () =
   Camelot_experiments.Report.header "Micro-benchmarks (Bechamel, wall-clock)";
@@ -396,7 +350,7 @@ let micro_benchmarks () =
       ~quota:(Time.second (if quick then 0.2 else 0.5))
       ~kde:(Some 1000) ()
   in
-  let one_pass tests =
+  let one_pass () =
     let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
     let ols =
       Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
@@ -419,22 +373,17 @@ let micro_benchmarks () =
      per-name minimum over a few passes instead. *)
   let passes = if quick then 3 else 1 in
   let merged = Hashtbl.create 32 in
-  let run_group tests =
-    for _ = 1 to passes do
-      List.iter
-        (fun (name, ns) ->
-          match (ns, Hashtbl.find_opt merged name) with
-          | Some est, Some (Some best) ->
-              if est < best then Hashtbl.replace merged name (Some est)
-          | Some est, (Some None | None) -> Hashtbl.replace merged name (Some est)
-          | None, Some _ -> ()
-          | None, None -> Hashtbl.add merged name None)
-        (one_pass tests)
-    done
-  in
-  run_group tests;
-  Gc.compact ();
-  run_group timer_tests;
+  for _ = 1 to passes do
+    List.iter
+      (fun (name, ns) ->
+        match (ns, Hashtbl.find_opt merged name) with
+        | Some est, Some (Some best) ->
+            if est < best then Hashtbl.replace merged name (Some est)
+        | Some est, (Some None | None) -> Hashtbl.replace merged name (Some est)
+        | None, Some _ -> ()
+        | None, None -> Hashtbl.add merged name None)
+      (one_pass ())
+  done;
   let estimates =
     List.sort compare (Hashtbl.fold (fun n v acc -> (n, v) :: acc) merged [])
   in

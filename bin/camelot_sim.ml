@@ -26,16 +26,7 @@ let with_horizon name summary run =
 
 let all_cmd =
   let run reps horizon_ms () =
-    Camelot_experiments.Table1.run ();
-    Camelot_experiments.Table2.run ~reps ();
-    Camelot_experiments.Rpc_breakdown.run ~reps:(reps * 4) ();
-    Camelot_experiments.Fig2.run ~reps ();
-    Camelot_experiments.Table3.run ~reps ();
-    Camelot_experiments.Fig3.run ~reps ();
-    Camelot_experiments.Fig4.run ~horizon_ms ();
-    Camelot_experiments.Fig5.run ~horizon_ms ();
-    Camelot_experiments.Multicast.run ~reps:(reps * 2) ();
-    Camelot_experiments.Ablations.run ~reps:(max 20 (reps / 2)) ()
+    Camelot_experiments.Reproduction.run ~reps ~horizon_ms ()
   in
   experiment "all" "Run every table, figure and ablation."
     Term.(const run $ reps $ horizon $ const ())
@@ -256,22 +247,27 @@ let cmds =
        Term.(
          const (fun sites mix loads horizon_ms batch diurnal peak trace () ->
              let module O = Camelot_experiments.Open_loop in
-             match trace with
-             | Some file ->
-                 ignore
-                   (O.run_piecewise ~sites ~mix ?batch
-                      ~arrival:(O.trace_of_file file) ~horizon_ms ()
-                     : O.point)
-             | None when diurnal ->
-                 ignore
-                   (O.run_piecewise ~sites ~mix ?batch
-                      ~arrival:(O.day_curve ~peak_tps:peak ~horizon_ms ())
-                      ~horizon_ms ()
-                     : O.point)
-             | None ->
-                 ignore
-                   (O.run ~sites ~mix ?batch ?loads ~horizon_ms ()
-                     : O.point list))
+             (* a bad rate or a malformed trace is a usage error *)
+             try
+               match trace with
+               | Some file ->
+                   ignore
+                     (O.run_piecewise ~sites ~mix ?batch
+                        ~arrival:(O.trace_of_file file) ~horizon_ms ()
+                       : O.point)
+               | None when diurnal ->
+                   ignore
+                     (O.run_piecewise ~sites ~mix ?batch
+                        ~arrival:(O.day_curve ~peak_tps:peak ~horizon_ms ())
+                        ~horizon_ms ()
+                       : O.point)
+               | None ->
+                   ignore
+                     (O.run ~sites ~mix ?batch ?loads ~horizon_ms ()
+                       : O.point list)
+             with Invalid_argument msg | Failure msg ->
+               prerr_endline ("camelot-sim open-loop: " ^ msg);
+               Stdlib.exit 2)
          $ sites $ mix $ loads $ ol_horizon $ batch $ diurnal $ peak $ trace
          $ const ()));
     (let sh_sites =

@@ -82,7 +82,7 @@ let start_checkpointer ~flush_every_ms n ~every =
 let create ?(seed = 1) ?(model = Cost_model.rt) ?config ?(servers_per_site = 1)
     ?(group_commit = false) ?(logger = Fixed) ?checkpoint_every ?flush_every_ms
     ?(loss = 0.0) ?(dep_logging = false) ?(recovery_partitions = 1)
-    ?timers ?lock_timeout_ms ?(domains = 1) ~sites () =
+    ?lock_timeout_ms ?(domains = 1) ~sites () =
   if sites <= 0 then invalid_arg "Cluster.create: need at least one site";
   (match checkpoint_every with
   | Some n when n <= 0 -> invalid_arg "Cluster.create: checkpoint_every must be positive"
@@ -95,7 +95,7 @@ let create ?(seed = 1) ?(model = Cost_model.rt) ?config ?(servers_per_site = 1)
      one engine, one LAN, no fabric, and the same RNG split sequence
      (one LAN split, then one split per site) — byte-identical to the
      non-sharded code this generalizes. *)
-  let engines = Array.init domains (fun _ -> Engine.create ?timers ()) in
+  let engines = Array.init domains (fun _ -> Engine.create ()) in
   let engine = engines.(0) in
   let fabric =
     if domains = 1 then None

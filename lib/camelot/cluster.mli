@@ -58,10 +58,6 @@ type logger = Fixed | Adaptive
     @param recovery_partitions parallel replay chains used by
     {!restart_site} (default 1 = sequential; only takes effect with
     [dep_logging])
-    @param timers engine timer backend (default
-    [Camelot_sim.Engine.Heap_timers]; both backends execute the exact
-    same schedule — [Wheel_timers] is for open-loop runs with millions
-    of pending arrival timers)
     @param lock_timeout_ms bound data-server lock waits: a transaction
     waiting longer aborts with [Lock_timeout] instead of blocking
     forever (default: wait forever — the paper-reproduction behavior)
@@ -87,7 +83,6 @@ val create :
   ?loss:float ->
   ?dep_logging:bool ->
   ?recovery_partitions:int ->
-  ?timers:Camelot_sim.Engine.timers ->
   ?lock_timeout_ms:float ->
   ?domains:int ->
   sites:int ->

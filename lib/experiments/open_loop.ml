@@ -1,15 +1,15 @@
 (* Open-loop traffic rig: unlike the closed loop in [Throughput], where
    a worker only offers its next transaction after the previous one
-   returns (so offered load self-throttles at saturation), here every
-   arrival is scheduled as its own engine timer up front — the offered
-   rate is fixed no matter how slow the system gets, which is the only
-   way to see latency tails grow and find the saturation knee.
+   returns (so offered load self-throttles at saturation), here arrivals
+   come from a fixed-rate process that never waits on the system — the
+   offered rate holds no matter how slow the system gets, which is the
+   only way to see latency tails grow and find the saturation knee.
 
-   One timer per arrival puts the engine in the many-pending-timers
-   regime, so runs default to the calendar-queue wheel backend
-   ([Engine.Wheel_timers] — bit-identical schedule, near-O(1) timer
-   ops). Arrivals land in each site's queue-sharded [Dispatch]: a fixed
-   executor population drains per-shard FIFO queues (Qadah's
+   Arrivals are generated lazily: each arrival epoch, when it fires,
+   arms the next one on the engine's ordinary timer heap, so the queue
+   holds O(in-flight) events rather than the whole schedule. Arrivals
+   land in each site's queue-sharded [Dispatch]: a fixed executor
+   population drains per-shard FIFO queues (Qadah's
    queue-oriented model), so overload becomes queue depth and latency,
    never a fiber-per-transaction explosion. Hot keys route to fixed
    shards, and lock waits are bounded by [lock_timeout_ms]: transfers
@@ -64,9 +64,9 @@ let day_curve ?(steps = 24) ~peak_tps ~horizon_ms () =
             (start, rate));
     }
 
-(* Trace file: one "t_ms rate_tps" pair per line ('#' comments and
-   blank lines ignored), ascending times — replayed as a [Piecewise]
-   arrival process. *)
+(* Trace file: one "t_ms rate_tps" pair of finite numbers per line ('#'
+   comments and blank lines ignored), ascending times — replayed as a
+   [Piecewise] arrival process. *)
 let trace_of_file path =
   let ic = open_in path in
   Fun.protect
@@ -91,7 +91,8 @@ let trace_of_file path =
            | [] -> ()
            | [ t; r ] -> (
                match (float_of_string_opt t, float_of_string_opt r) with
-               | Some t, Some r -> segments := (t, r) :: !segments
+               | Some t, Some r when Float.is_finite t && Float.is_finite r ->
+                   segments := (t, r) :: !segments
                | _ ->
                    failwith
                      (Printf.sprintf "%s:%d: malformed trace line" path !lineno))
@@ -129,75 +130,67 @@ let sample_txn mix zipf rng =
       let k = Rng.Zipf.draw zipf rng in
       if Rng.bool rng ~p:p_lookup then Lookup k else Deposit k
 
-(* Arrival instants in [0, horizon_ms), ascending. Pure function of the
-   rng stream, so generator tests can check the process in isolation. *)
-let arrival_times arrival ~rng ~horizon_ms =
-  if offered_rate arrival <= 0.0 then
-    invalid_arg "Open_loop.arrival_times: rate must be positive";
-  let out = ref [] in
-  let t = ref 0.0 in
-  (match arrival with
-  | Poisson { rate_tps } ->
-      let mean = 1000.0 /. rate_tps in
-      let rec loop () =
-        t := !t +. Rng.exponential rng ~mean;
-        if !t < horizon_ms then begin
-          out := !t :: !out;
-          loop ()
-        end
-      in
-      loop ()
-  | Bursty { rate_tps; burst } ->
-      if burst <= 0 then invalid_arg "Open_loop.arrival_times: burst must be positive";
-      let mean = 1000.0 *. float_of_int burst /. rate_tps in
-      let rec loop () =
-        t := !t +. Rng.exponential rng ~mean;
-        if !t < horizon_ms then begin
-          for _ = 1 to burst do
-            out := !t :: !out
-          done;
-          loop ()
-        end
-      in
-      loop ()
+(* Arrival epochs in [0, horizon_ms), ascending, as [(instant, count)]
+   pairs ([count] is [burst] for [Bursty], else 1). Ephemeral: each node
+   draws from [rng] as it is forced. Arguments are checked up front. *)
+let arrival_epochs arrival ~rng ~horizon_ms =
+  let invalid msg = invalid_arg ("Open_loop.arrival_times: " ^ msg) in
+  let check_rate rate =
+    if not (rate > 0.0) then invalid "rate must be positive";
+    if rate = infinity then invalid "rate must be finite"
+  in
+  (* [count] arrivals at Poisson epochs of mean rate [rate] tps *)
+  let poisson_epochs rate count =
+    check_rate rate;
+    if count <= 0 then invalid "burst must be positive";
+    let mean = 1000.0 *. float_of_int count /. rate in
+    let rec next t () =
+      let t = t +. Rng.exponential rng ~mean in
+      if t < horizon_ms then Seq.Cons ((t, count), next t) else Seq.Nil
+    in
+    next 0.0
+  in
+  match arrival with
+  | Poisson { rate_tps } -> poisson_epochs rate_tps 1
+  | Bursty { rate_tps; burst } -> poisson_epochs rate_tps burst
   | Piecewise { segments } ->
       let segs = Array.of_list segments in
       let n = Array.length segs in
       Array.iteri
         (fun i (start, rate) ->
-          if rate < 0.0 then
-            invalid_arg "Open_loop.arrival_times: negative segment rate";
+          if not (Float.is_finite start) then
+            invalid "segment starts must be finite";
+          if not (Float.is_finite rate && rate >= 0.0) then
+            invalid "segment rates must be finite and non-negative";
           if i > 0 && start <= fst segs.(i - 1) then
-            invalid_arg "Open_loop.arrival_times: segment starts must ascend")
+            invalid "segment starts must ascend")
         segs;
+      check_rate (offered_rate arrival);
       let seg_end i = if i + 1 < n then fst segs.(i + 1) else horizon_ms in
       (* Walk the segments, drawing exponential gaps at the current
          segment's rate. A gap that overshoots the segment boundary is
          discarded and redrawn from the boundary at the new rate —
          exact for a piecewise-constant Poisson process, by
          memorylessness. *)
-      t := Float.max 0.0 (fst segs.(0));
-      let i = ref 0 in
-      while !i < n && !t < horizon_ms do
-        let rate = snd segs.(!i) in
-        let e = Float.min (seg_end !i) horizon_ms in
-        if rate <= 0.0 then begin
-          t := e;
-          incr i
-        end
-        else begin
-          let next = !t +. Rng.exponential rng ~mean:(1000.0 /. rate) in
-          if next < e then begin
-            t := next;
-            out := !t :: !out
-          end
-          else begin
-            t := e;
-            incr i
-          end
-        end
-      done);
-  List.rev !out
+      let rec walk t i () =
+        if i >= n || t >= horizon_ms then Seq.Nil
+        else
+          let rate = snd segs.(i) in
+          let e = Float.min (seg_end i) horizon_ms in
+          if rate <= 0.0 then walk e (i + 1) ()
+          else
+            let next = t +. Rng.exponential rng ~mean:(1000.0 /. rate) in
+            if next < e then Seq.Cons ((next, 1), walk next i)
+            else walk e (i + 1) ()
+      in
+      walk (Float.max 0.0 (fst segs.(0))) 0
+
+(* Arrival instants in [0, horizon_ms), ascending: the epochs above,
+   each repeated [count] times. *)
+let arrival_times arrival ~rng ~horizon_ms =
+  arrival_epochs arrival ~rng ~horizon_ms
+  |> Seq.concat_map (fun (t, count) -> Seq.take count (Seq.repeat t))
+  |> List.of_seq
 
 type point = {
   offered_tps : float;
@@ -218,14 +211,13 @@ let key_name rank = Printf.sprintf "a%d" rank
 
 let run_one ?(seed = 17) ?(sites = 24) ?(mix = Debit_credit) ?(keys = 64)
     ?(theta = 0.99) ?(shards_per_site = 4) ?(executors_per_shard = 4)
-    ?(lock_timeout_ms = 50.0) ?(timers = Engine.Wheel_timers) ?batch ~arrival
-    ~horizon_ms () =
+    ?(lock_timeout_ms = 50.0) ?batch ~arrival ~horizon_ms () =
   let executors = shards_per_site * executors_per_shard in
   let config = State.default_config ~threads:executors () in
   let c =
     Camelot.Cluster.create ~seed ~model:Camelot_mach.Cost_model.vax ~config
-      ~group_commit:true ~logger:Camelot.Cluster.Adaptive ~timers
-      ~lock_timeout_ms ~sites ()
+      ~group_commit:true ~logger:Camelot.Cluster.Adaptive ~lock_timeout_ms
+      ~sites ()
   in
   let engine = Camelot.Cluster.engine c in
   let dispatches =
@@ -283,24 +275,37 @@ let run_one ?(seed = 17) ?(sites = 24) ?(mix = Debit_credit) ?(keys = 64)
         Tranman.abort tm tid;
         incr aborted
   in
-  (* one engine timer per arrival — the open loop itself *)
-  let times = arrival_times arrival ~rng:arrivals_rng ~horizon_ms in
-  let n_arrivals = List.length times in
-  List.iter
-    (fun time ->
-      Engine.schedule_at engine ~time (fun () ->
-          let origin = Rng.int_below draw_rng sites in
-          let txn = sample_txn mix zipf draw_rng in
-          let shard_key =
-            match txn with
-            | Transfer { debit; _ } | Lookup debit | Deposit debit -> debit
-          in
-          let arrived = Engine.now engine in
-          if
-            Dispatch.submit_key dispatches.(origin) ~key:shard_key (fun () ->
-                exec ~origin ~arrived txn)
-          then incr submitted))
-    times;
+  let arrive () =
+    let origin = Rng.int_below draw_rng sites in
+    let txn = sample_txn mix zipf draw_rng in
+    let shard_key =
+      match txn with
+      | Transfer { debit; _ } | Lookup debit | Deposit debit -> debit
+    in
+    let arrived = Engine.now engine in
+    if
+      Dispatch.submit_key dispatches.(origin) ~key:shard_key (fun () ->
+          exec ~origin ~arrived txn)
+    then incr submitted
+  in
+  (* The open loop itself: an epoch's arrivals are scheduled together
+     (a burst keeps consecutive sequence numbers) and the first of them
+     arms the next epoch, so one epoch is pending at a time. That is the
+     up-front order unless another event lands on an arrival's instant. *)
+  let n_arrivals = ref 0 in
+  let rec arm epochs =
+    match epochs () with
+    | Seq.Nil -> ()
+    | Seq.Cons ((time, count), rest) ->
+        n_arrivals := !n_arrivals + count;
+        Engine.schedule_at engine ~time (fun () ->
+            arm rest;
+            arrive ());
+        for _ = 2 to count do
+          Engine.schedule_at engine ~time arrive
+        done
+  in
+  arm (arrival_epochs arrival ~rng:arrivals_rng ~horizon_ms);
   Camelot.Cluster.run ~until:horizon_ms c;
   let done_ = !committed + !aborted in
   let max_shard_depth =
@@ -308,7 +313,7 @@ let run_one ?(seed = 17) ?(sites = 24) ?(mix = Debit_credit) ?(keys = 64)
   in
   {
     offered_tps = offered_rate arrival;
-    arrivals = n_arrivals;
+    arrivals = !n_arrivals;
     committed = !committed;
     aborted = !aborted;
     backlog = !submitted - done_;
@@ -349,27 +354,12 @@ let knee points =
       && float_of_int p.backlog > 0.1 *. float_of_int p.arrivals)
     points
 
-let pp_row p =
-  [
-    Printf.sprintf "%.0f" p.offered_tps;
-    Printf.sprintf "%.1f" p.completed_tps;
-    Printf.sprintf "%.1f%%" (100.0 *. p.abort_rate);
-    Printf.sprintf "%.1f" p.p50_ms;
-    Printf.sprintf "%.1f" p.p99_ms;
-    Printf.sprintf "%.1f" p.p999_ms;
-    string_of_int p.backlog;
-    string_of_int p.max_shard_depth;
-  ]
-
-let run ?sites ?mix ?batch ?loads ?horizon_ms () =
-  let points = sweep ?sites ?mix ?batch ?loads ?horizon_ms () in
-  Report.header
-    "Open loop: Poisson arrivals, Zipf(0.99) keys, queue-sharded execution \
-     (wheel timers)";
+(* One row per point, under [rate_column] for the offered rate. *)
+let print_table ~rate_column points =
   Report.table
     ~columns:
       [
-        "OFFERED TPS";
+        rate_column;
         "DONE TPS";
         "ABORT%";
         "p50 ms";
@@ -378,7 +368,25 @@ let run ?sites ?mix ?batch ?loads ?horizon_ms () =
         "BACKLOG";
         "MAXQ";
       ]
-    (List.map pp_row points);
+    (List.map
+       (fun p ->
+         [
+           Printf.sprintf "%.0f" p.offered_tps;
+           Printf.sprintf "%.1f" p.completed_tps;
+           Printf.sprintf "%.1f%%" (100.0 *. p.abort_rate);
+           Printf.sprintf "%.1f" p.p50_ms;
+           Printf.sprintf "%.1f" p.p99_ms;
+           Printf.sprintf "%.1f" p.p999_ms;
+           string_of_int p.backlog;
+           string_of_int p.max_shard_depth;
+         ])
+       points)
+
+let run ?sites ?mix ?batch ?loads ?horizon_ms () =
+  let points = sweep ?sites ?mix ?batch ?loads ?horizon_ms () in
+  Report.header
+    "Open loop: Poisson arrivals, Zipf(0.99) keys, queue-sharded execution";
+  print_table ~rate_column:"OFFERED TPS" points;
   (match knee points with
   | Some p ->
       Printf.printf
@@ -408,21 +416,8 @@ let run_piecewise ?sites ?mix ?batch ~arrival ~horizon_ms () =
   Printf.printf
     "%d rate segments over %.0f ms: peak %.0f tps, trough %.0f tps\n"
     (List.length segments) horizon_ms p.offered_tps trough;
-  Report.table
-    ~columns:
-      [
-        "PEAK TPS";
-        "DONE TPS";
-        "ABORT%";
-        "p50 ms";
-        "p99 ms";
-        "p999 ms";
-        "BACKLOG";
-        "MAXQ";
-      ]
-    [ pp_row p ];
-  (if p.arrivals > 0 && float_of_int p.backlog > 0.1 *. float_of_int p.arrivals
-   then
+  print_table ~rate_column:"PEAK TPS" [ p ];
+  (if knee [ p ] <> None then
      print_endline
        "Peak load saturates the executors: the backlog left at the horizon \
         exceeds 10% of arrivals."

@@ -3,12 +3,12 @@
     tails (p50/p99/p999), abort rate, and the saturation knee.
 
     Where {!Throughput} is closed-loop (offered load self-throttles at
-    saturation, hiding the tails), this rig schedules one engine timer
-    per arrival — the offered rate never yields, so past the knee the
+    saturation, hiding the tails), this rig's arrivals never wait on
+    the system — the offered rate never yields, so past the knee the
     dispatch queues grow, p99 blows up, and the backlog column shows
-    the system falling behind. Runs default to the calendar-queue
-    timer wheel ([Engine.Wheel_timers]) because of the one-timer-per-
-    arrival population; results are bit-identical on either backend. *)
+    the system falling behind. Arrivals are generated lazily: each
+    arrival epoch arms the next when it fires, so the engine holds
+    O(in-flight) pending events, not the whole arrival schedule. *)
 
 (** Arrival process, by offered rate in transactions/second. [Bursty]
     has the same mean rate but releases [burst] arrivals at once at
@@ -34,7 +34,8 @@ val day_curve :
 (** Parse a rate trace — one "t_ms rate_tps" pair per line, ['#']
     comments and blank lines ignored, times ascending — into a
     [Piecewise] arrival.
-    @raise Failure on a malformed line; I/O exceptions pass through. *)
+    @raise Failure on a malformed line, including a non-finite number;
+    I/O exceptions pass through. *)
 val trace_of_file : string -> arrival
 
 (** [Debit_credit]: two-key transfers (90% single-site, 10% crossing to
@@ -52,15 +53,18 @@ type txn =
 (** Draw one transaction from the mix (exposed for generator tests). *)
 val sample_txn : mix -> Camelot_sim.Rng.Zipf.t -> Camelot_sim.Rng.t -> txn
 
-(** Arrival instants in [\[0, horizon_ms)], ascending — a pure function
-    of the rng stream (exposed for generator tests).
-    @raise Invalid_argument on a non-positive rate or burst. *)
+(** Arrival instants in [\[0, horizon_ms)], ascending: the lazy
+    generator {!run_one} draws from, listed ([burst] copies of each
+    [Bursty] epoch). Exposed for generator tests.
+    @raise Invalid_argument on a non-finite or non-positive rate or
+    burst, or on non-finite, descending or all-zero [Piecewise]
+    segments. *)
 val arrival_times :
   arrival -> rng:Camelot_sim.Rng.t -> horizon_ms:float -> float list
 
 type point = {
   offered_tps : float;
-  arrivals : int;  (** timers scheduled *)
+  arrivals : int;  (** arrivals generated in [\[0, horizon_ms)] *)
   committed : int;
   aborted : int;  (** lock-timeout and vetoed commits *)
   backlog : int;  (** admitted but unfinished at the horizon *)
@@ -74,8 +78,8 @@ type point = {
 }
 
 (** One sweep point. Defaults: 24 sites, 4 shards x 4 executors per
-    site, 64 accounts at Zipf theta 0.99, 50 ms lock timeout, wheel
-    timer backend, debit/credit mix.
+    site, 64 accounts at Zipf theta 0.99, 50 ms lock timeout,
+    debit/credit mix.
     @param batch batched executor dequeue (see
     {!Camelot_mach.Dispatch.create}): each executor wakeup charges one
     context switch and drains up to [batch] jobs. Default: legacy
@@ -89,7 +93,6 @@ val run_one :
   ?shards_per_site:int ->
   ?executors_per_shard:int ->
   ?lock_timeout_ms:float ->
-  ?timers:Camelot_sim.Engine.timers ->
   ?batch:int ->
   arrival:arrival ->
   horizon_ms:float ->

@@ -110,15 +110,18 @@ let test_day_curve_shape () =
       done
   | _ -> Alcotest.fail "day_curve must be Piecewise"
 
-let test_trace_of_file_roundtrip () =
+(* Run [f] on the path of a fresh trace file holding [contents]. *)
+let with_trace contents f =
   let path = Filename.temp_file "camelot_trace" ".txt" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      let oc = open_out path in
-      output_string oc
-        "# rate trace\n0 100\n\n1000 400 # ramp to the knee\n2500.5 50\n";
-      close_out oc;
+      Out_channel.with_open_text path (fun oc -> output_string oc contents);
+      f path)
+
+let test_trace_of_file_roundtrip () =
+  with_trace "# rate trace\n0 100\n\n1000 400 # ramp to the knee\n2500.5 50\n"
+    (fun path ->
       match trace_of_file path with
       | Piecewise { segments } ->
           Alcotest.(check (list (pair (float 0.0) (float 0.0))))
@@ -126,16 +129,19 @@ let test_trace_of_file_roundtrip () =
             [ (0.0, 100.0); (1000.0, 400.0); (2500.5, 50.0) ]
             segments
       | _ -> Alcotest.fail "trace must parse to Piecewise");
-  let bad = Filename.temp_file "camelot_trace" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove bad)
-    (fun () ->
-      let oc = open_out bad in
-      output_string oc "0 100\noops\n";
-      close_out oc;
-      match trace_of_file bad with
+  with_trace "0 100\noops\n" (fun path ->
+      match trace_of_file path with
       | _ -> Alcotest.fail "malformed trace must raise"
-      | exception Failure _ -> ())
+      | exception Failure _ -> ());
+  (* a non-finite number is malformed too: a nan start would silently
+     drop every arrival, a nan rate would report a nan peak *)
+  List.iter
+    (fun line ->
+      with_trace ("0 100\n" ^ line ^ "\n") (fun path ->
+          Alcotest.check_raises line
+            (Failure (path ^ ":2: malformed trace line"))
+            (fun () -> ignore (trace_of_file path : arrival))))
+    [ "nan 100"; "1000 nan"; "inf 100"; "1000 inf"; "-inf 100"; "1000 -inf" ]
 
 let test_piecewise_rejects_bad_args () =
   let check_invalid name segments =
@@ -148,19 +154,38 @@ let test_piecewise_rejects_bad_args () =
   check_invalid "empty" [];
   check_invalid "all silent" [ (0.0, 0.0) ];
   check_invalid "negative rate" [ (0.0, 10.0); (50.0, -1.0) ];
-  check_invalid "non-ascending starts" [ (0.0, 10.0); (0.0, 20.0) ]
+  check_invalid "non-ascending starts" [ (0.0, 10.0); (0.0, 20.0) ];
+  check_invalid "nan rate" [ (0.0, 10.0); (50.0, Float.nan) ];
+  check_invalid "infinite rate" [ (0.0, 10.0); (50.0, infinity) ];
+  check_invalid "nan start" [ (0.0, 10.0); (Float.nan, 20.0) ];
+  check_invalid "nan first start" [ (Float.nan, 10.0) ];
+  check_invalid "infinite start" [ (0.0, 10.0); (infinity, 20.0) ];
+  check_invalid "minus-infinite start" [ (neg_infinity, 10.0) ]
 
 let test_arrivals_rejects_bad_args () =
-  Alcotest.check_raises "zero rate"
-    (Invalid_argument "Open_loop.arrival_times: rate must be positive")
-    (fun () ->
-      ignore (arrival_times (Poisson { rate_tps = 0.0 }) ~rng:(rng 1) ~horizon_ms:100.0 : float list));
-  Alcotest.check_raises "zero burst"
-    (Invalid_argument "Open_loop.arrival_times: burst must be positive")
+  let rejects name msg arrival =
+    Alcotest.check_raises name (Invalid_argument ("Open_loop.arrival_times: " ^ msg))
+      (fun () ->
+        ignore (arrival_times arrival ~rng:(rng 1) ~horizon_ms:100.0 : float list))
+  in
+  rejects "zero rate" "rate must be positive" (Poisson { rate_tps = 0.0 });
+  rejects "zero burst" "burst must be positive" (Bursty { rate_tps = 10.0; burst = 0 });
+  rejects "negative rate" "rate must be positive" (Poisson { rate_tps = -5.0 });
+  (* non-finite rates: infinity would never leave t=0, nan would
+     silently generate nothing *)
+  rejects "infinite rate" "rate must be finite" (Poisson { rate_tps = infinity });
+  rejects "nan rate" "rate must be positive" (Poisson { rate_tps = Float.nan });
+  rejects "infinite bursty rate" "rate must be finite"
+    (Bursty { rate_tps = infinity; burst = 4 });
+  rejects "nan bursty rate" "rate must be positive"
+    (Bursty { rate_tps = Float.nan; burst = 4 });
+  (* and the run itself rejects them before simulating anything *)
+  Alcotest.check_raises "run_one infinite rate"
+    (Invalid_argument "Open_loop.arrival_times: rate must be finite")
     (fun () ->
       ignore
-        (arrival_times (Bursty { rate_tps = 10.0; burst = 0 }) ~rng:(rng 1) ~horizon_ms:100.0
-          : float list))
+        (run_one ~sites:1 ~arrival:(Poisson { rate_tps = infinity }) ~horizon_ms:100.0 ()
+          : point))
 
 (* ------------------------------------------------------------------ *)
 (* Key skew and transaction mixes *)
@@ -310,6 +335,23 @@ let test_run_one_deterministic () =
   Alcotest.(check int) "aborted equal" a.aborted b.aborted;
   Alcotest.(check (float 0.0)) "p99 equal" a.p99_ms b.p99_ms
 
+(* One [Bursty] point pinned field by field to the values recorded when
+   every arrival was scheduled up front. Lazy arming must replay that
+   schedule exactly: each burst's arrivals fire in consecutive sequence
+   order, and the first of them arms the next burst. *)
+let test_run_one_bursty_pinned () =
+  let p =
+    run_one ~seed:17
+      ~arrival:(Bursty { rate_tps = 400.0; burst = 10 })
+      ~horizon_ms:5_000.0 ()
+  in
+  Alcotest.(check int) "arrivals" 1770 p.arrivals;
+  Alcotest.(check int) "committed" 910 p.committed;
+  Alcotest.(check int) "aborted" 660 p.aborted;
+  Alcotest.(check int) "backlog" 200 p.backlog;
+  Alcotest.(check int) "max shard depth" 9 p.max_shard_depth;
+  Alcotest.(check (float 0.0)) "p99 ms" 0x1.48711c010b6bep+10 p.p99_ms
+
 let () =
   Alcotest.run "open_loop"
     [
@@ -345,5 +387,6 @@ let () =
           Alcotest.test_case "arrival conservation" `Quick
             test_run_one_accounts_for_every_arrival;
           Alcotest.test_case "point deterministic" `Quick test_run_one_deterministic;
+          Alcotest.test_case "bursty point pinned" `Quick test_run_one_bursty_pinned;
         ] );
     ]
