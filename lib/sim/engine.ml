@@ -24,7 +24,12 @@
    touches it (a timer that already fired flips [live] first, so a
    late cancel cannot re-increment). Hence
    [pending = queue + ring - dead] never counts a cancelled timer,
-   even while its tombstone is still queued. *)
+   even while its tombstone is still queued.
+
+   [limit] holds the running loop's limit ([run]'s [until], infinity
+   for [step]) in an unboxed cell, so a fiber's sleep can tell whether
+   its wake-up would run next ([sleep_through]) without a box per
+   [run] or [step]. *)
 
 type timer = { mutable live : bool; mutable fn : unit -> unit }
 
@@ -50,6 +55,7 @@ type t = {
   mutable ring_seq : int array;
   mutable head : int;
   mutable len : int;
+  limit : Float.Array.t;
 }
 
 let create () =
@@ -63,6 +69,7 @@ let create () =
     ring_seq = [||];
     head = 0;
     len = 0;
+    limit = Float.Array.make 1 infinity;
   }
 
 let now t = t.now
@@ -100,16 +107,21 @@ let[@inline] push_event t ~time ev =
   if time <= t.now then ring_push t seq ev
   else Heap.push t.queue ~priority:time ~seq ev
 
-let schedule_at t ~time f = push_event t ~time (Apply (f, ()))
+let schedule_at t ~time f =
+  if Float.is_nan time then invalid_arg "Engine.schedule_at: NaN time";
+  push_event t ~time (Apply (f, ()))
 
+(* [not (delay >= 0.0)] also rejects NaN, which would otherwise set the
+   clock to NaN for the rest of the run *)
 let schedule_apply t ~delay f x =
-  if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
+  if not (delay >= 0.0) then invalid_arg "Engine.schedule: negative delay";
   push_event t ~time:(t.now +. delay) (Apply (f, x))
 
 let schedule t ~delay f = schedule_apply t ~delay f ()
 
 let schedule_timer t ~delay f =
-  if delay < 0.0 then invalid_arg "Engine.schedule_timer: negative delay";
+  if not (delay >= 0.0) then
+    invalid_arg "Engine.schedule_timer: negative delay";
   let tm = { live = true; fn = f } in
   push_event t ~time:(t.now +. delay) (Timer tm);
   fun () ->
@@ -182,10 +194,31 @@ and exec_heap t ~limit =
           exec_next t ~limit
         end
 
-let step t = exec_next t ~limit:infinity
+(* Both predicates compare through [Heap.all_after] with floats that
+   are already boxed ([t.now], the caller's [delay]), so a failed test
+   allocates nothing. *)
+let idle_now t = t.len = 0 && Heap.all_after t.queue t.now 0.0
+
+let sleep_through t delay =
+  let time = t.now +. delay in
+  if
+    delay >= 0.0
+    && t.len = 0
+    && time <= Float.Array.unsafe_get t.limit 0
+    && Heap.all_after t.queue t.now delay
+  then begin
+    t.now <- time;
+    true
+  end
+  else false
+
+let step t =
+  Float.Array.unsafe_set t.limit 0 infinity;
+  exec_next t ~limit:infinity
 
 let run ?until t =
   let limit = match until with Some l -> l | None -> infinity in
+  Float.Array.unsafe_set t.limit 0 limit;
   while exec_next t ~limit do
     ()
   done;

@@ -17,9 +17,9 @@ val create : unit -> t
 val now : t -> float
 
 (** [schedule t ~delay f] runs [f] at virtual time [now t +. delay].
-    [delay] must be non-negative. Events with [delay = 0] take a FIFO
-    fast path that bypasses the time-ordered heap; execution order is
-    identical either way. *)
+    [delay] must be non-negative and not NaN. Events with [delay = 0]
+    take a FIFO fast path that bypasses the time-ordered heap;
+    execution order is identical either way. *)
 val schedule : t -> delay:float -> (unit -> unit) -> unit
 
 (** [schedule_apply t ~delay f x] is [schedule t ~delay (fun () -> f x)]
@@ -36,7 +36,8 @@ val schedule_apply : t -> delay:float -> ('a -> unit) -> 'a -> unit
 val schedule_timer : t -> delay:float -> (unit -> unit) -> unit -> unit
 
 (** [schedule_at t ~time f] runs [f] at absolute virtual [time]; if
-    [time] is in the past it runs at the current time. *)
+    [time] is in the past it runs at the current time.
+    @raise Invalid_argument if [time] is NaN. *)
 val schedule_at : t -> time:float -> (unit -> unit) -> unit
 
 (** [run t] processes events until the queue is empty.
@@ -45,8 +46,26 @@ val schedule_at : t -> time:float -> (unit -> unit) -> unit
 val run : ?until:float -> t -> unit
 
 (** [step t] executes the single next event. Returns [false] if the
-    queue was empty. *)
+    queue was empty. One event can carry a fiber through several
+    sleeps: a sleep whose wake-up would run next anyway continues in
+    place (see {!sleep_through}), so a step may include a sleeper's
+    later segments. [Fiber.run] is unaffected, since only its main
+    fiber sets its result. *)
 val step : t -> bool
+
+(** [sleep_through t delay] is for [Fiber]'s sleep. It moves the clock
+    to [now t +. delay] and returns [true] when an event at that time
+    would provably run next: [delay >= 0.0], nothing is queued at or
+    before that time, and the running [run] or [step] would not stop
+    first. The caller then continues in place of that event. Otherwise
+    it returns [false] and changes nothing. Sequence numbers are only
+    ever compared, so skipping the event leaves the [(time, seq)] order
+    of every other event as it was. *)
+val sleep_through : t -> float -> bool
+
+(** Whether nothing else is queued at the current instant: an event
+    scheduled now with delay 0 would run next. *)
+val idle_now : t -> bool
 
 (** Number of live events waiting in the queue. Cancelled timers whose
     tombstones have not yet drained are excluded: the engine maintains

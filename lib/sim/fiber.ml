@@ -79,20 +79,24 @@ let vacate g slot =
   g.free <- slot;
   g.live <- g.live - 1
 
-(* Waking goes through the same-instant ring, never inline, preserving
-   run-to-completion semantics of the current event. A slot still
+(* Free the kill-table slot of a resumer being woken. A slot still
    registered belongs to this resumer unless the group was killed, in
    which case the kill has already emptied the table. *)
+let release fib slot =
+  if slot >= 0 then
+    match fib.group with
+    | Some g when not g.killed -> vacate g slot
+    | Some _ | None -> ()
+
+(* Waking goes through the same-instant ring, never inline, preserving
+   run-to-completion semantics of the current event. *)
 let resume r result =
   match r with
   | Blocked b when b.reg <> fired ->
       let slot = b.reg in
       b.reg <- fired;
       b.result <- result;
-      (if slot >= 0 then
-         match b.fib.group with
-         | Some g when not g.killed -> vacate g slot
-         | Some _ | None -> ());
+      release b.fib slot;
       Engine.schedule_apply b.fib.eng ~delay:0.0 deliver r
   | Blocked _ | Hook _ -> ()
 
@@ -154,6 +158,13 @@ module Group = struct
     if t.live > 2 * t.buckets then t.buckets <- 2 * t.buckets;
     slot
 
+  (* What [add] followed at once by [vacate] leaves behind, for a sleep
+     that never blocks: the id it drew and the bucket count its insert
+     may have doubled. The free list ends as it began. *)
+  let pass t =
+    t.next_id <- t.next_id + 1;
+    if t.live + 1 > 2 * t.buckets then t.buckets <- 2 * t.buckets
+
   let kill t =
     if not t.killed then begin
       t.killed <- true;
@@ -213,23 +224,40 @@ let block fib k =
   | _, None -> ());
   r
 
-(* A sleep is a timed event that wakes the resumer, followed by the
-   usual wake hop through the same-instant ring: the second hop is what
-   gives the woken fiber its [(time, seq)] slot among the other events
-   of that instant, so it is kept even though the timer could continue
-   the fiber directly. A resumer already cancelled by a kill ignores
-   its timer. *)
-let wake_sleeper r = resume r ok_unit
+(* A queued sleep is a timed event that wakes the resumer, followed by
+   the usual wake hop through the same-instant ring: that hop gives the
+   woken fiber its [(time, seq)] slot among the other events of the
+   instant. When nothing else is queued at the instant, the hop would
+   run next anyway, so the timer continues the fiber itself. A resumer
+   already cancelled by a kill ignores its timer. *)
+let wake_sleeper r =
+  match r with
+  | Blocked b when b.reg <> fired && Engine.idle_now b.fib.eng ->
+      let slot = b.reg in
+      b.reg <- fired;
+      release b.fib slot;
+      Effect.Deep.continue b.k ()
+  | Blocked _ | Hook _ -> resume r ok_unit
 
 let spawn eng ?group ?(name = "fiber") ?on_exn fn =
   let on_exn = match on_exn with Some f -> f | None -> default_on_exn name in
   let fib =
     { eng; group; delay = 0.0; register = no_register; register_arg = no_arg }
   in
+  (* A direct sleep: when the wake-up would be the next event anyway
+     (see [Engine.sleep_through]), move the clock and continue at once,
+     with no resumer, no kill-table entry and no event. Only a grouped
+     sleep leaves a trace, the kill-table id it would have drawn. *)
   let on_sleep =
     Some
       (fun k ->
-        Engine.schedule_apply eng ~delay:fib.delay wake_sleeper (block fib k))
+        let d = fib.delay in
+        let live = match group with Some g -> not g.killed | None -> true in
+        if live && Engine.sleep_through eng d then begin
+          Option.iter Group.pass group;
+          Effect.Deep.continue k ()
+        end
+        else Engine.schedule_apply eng ~delay:d wake_sleeper (block fib k))
   in
   let on_suspend =
     Some

@@ -78,11 +78,22 @@ val spawn :
     (deadlock). *)
 val run : Engine.t -> (unit -> 'a) -> 'a
 
-(** Block the calling fiber for [d] milliseconds of virtual time. *)
+(** Block the calling fiber for [d] milliseconds of virtual time.
+    When the wake-up would be the next event anyway (nothing else is
+    queued at or before [now + d], and the running [Engine.run] or
+    [Engine.step] would not stop first), the fiber continues in place:
+    the clock moves to [now + d] and no event is queued. Otherwise a
+    timer wakes it; that timer continues the fiber directly when
+    nothing else is queued at its instant, and queues a same-instant
+    hop when something is. Either way the fiber runs exactly where the
+    always-queued path would have run it.
+    A negative or NaN [d] raises [Invalid_argument] out of the
+    [Engine.run] or [Engine.step] that is running the fiber. *)
 val sleep : float -> unit
 
 (** Reschedule the calling fiber at the current time, letting other
-    ready events run first. *)
+    ready events run first. [yield] is [sleep 0.0]: a no-op when no
+    other event is pending at the current instant. *)
 val yield : unit -> unit
 
 (** Current virtual time as seen by the calling fiber. *)

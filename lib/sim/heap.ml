@@ -132,6 +132,12 @@ let[@inline] min_seq t =
   if t.size = 0 then invalid_arg "Heap.min_seq: empty";
   Array.unsafe_get t.seqs 0
 
+(* The sum's terms travel separately so that a caller in another module
+   passes floats it already holds boxed: a float result or a fresh float
+   argument would be boxed at the call whenever the call is not
+   inlined, as in builds that compile modules opaquely. *)
+let all_after t a b = t.size = 0 || Array.unsafe_get t.prios 0 > a +. b
+
 let peek_priority t = if t.size = 0 then None else Some t.prios.(0)
 
 let clear t =

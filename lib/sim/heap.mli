@@ -41,6 +41,11 @@ val min_priority : 'a t -> float
     @raise Invalid_argument if the heap is empty. *)
 val min_seq : 'a t -> int
 
+(** [all_after t a b] is whether every element has a priority greater
+    than [a +. b]; [true] when the heap is empty. The sum is taken
+    inside so that the caller need not box it. *)
+val all_after : 'a t -> float -> float -> bool
+
 (** Remove every element. *)
 val clear : 'a t -> unit
 

@@ -181,6 +181,24 @@ let test_engine_negative_delay () =
   Alcotest.check_raises "negative delay" (Invalid_argument "Engine.schedule: negative delay")
     (fun () -> Engine.schedule eng ~delay:(-1.0) (fun () -> ()))
 
+(* NaN passes a [delay < 0.0] test; had it been queued, the clock
+   would read NaN from the moment it ran *)
+let test_engine_nan_rejected () =
+  let eng = Engine.create () in
+  let negative what = Invalid_argument (what ^ ": negative delay") in
+  Alcotest.check_raises "schedule" (negative "Engine.schedule") (fun () ->
+      Engine.schedule eng ~delay:nan ignore);
+  Alcotest.check_raises "schedule_apply" (negative "Engine.schedule") (fun () ->
+      Engine.schedule_apply eng ~delay:nan ignore ());
+  Alcotest.check_raises "schedule_timer" (negative "Engine.schedule_timer")
+    (fun () -> ignore (Engine.schedule_timer eng ~delay:nan ignore : unit -> unit));
+  Alcotest.check_raises "schedule_at" (Invalid_argument "Engine.schedule_at: NaN time")
+    (fun () -> Engine.schedule_at eng ~time:nan ignore);
+  Alcotest.(check int) "nothing queued" 0 (Engine.pending eng);
+  Engine.schedule eng ~delay:1.0 ignore;
+  Engine.run eng;
+  check_float "clock intact" 1.0 (Engine.now eng)
+
 let test_engine_schedule_at_past_clamps () =
   let eng = Engine.create () in
   let ran_at = ref (-1.0) in
@@ -419,6 +437,119 @@ let test_fiber_suspend_resume () =
   in
   Alcotest.(check int) "resumed with value" 42 result
 
+(* A bad delay is rejected before the clock moves, even for a lone
+   fiber whose sleep would otherwise continue in place. *)
+let test_fiber_bad_sleep_rejected () =
+  List.iter
+    (fun d ->
+      let eng = Engine.create () in
+      let woke = ref false in
+      Fiber.spawn eng (fun () ->
+          Fiber.sleep d;
+          Fiber.sleep 1.0;
+          woke := true);
+      Alcotest.check_raises (Printf.sprintf "sleep %h" d)
+        (Invalid_argument "Engine.schedule: negative delay") (fun () -> Engine.run eng);
+      Alcotest.(check bool) "clock untouched" true (Engine.now eng = 0.0);
+      Alcotest.(check bool) "never woke" false !woke)
+    [ nan; -1.0; neg_infinity ]
+
+(* A sleep continues in place only up to the running loop's limit: the
+   first wake past it is queued, and the next run picks it up as if
+   the engine had never paused. *)
+let test_fiber_sleep_stops_at_limit () =
+  let start () =
+    let eng = Engine.create () in
+    let wakes = ref [] in
+    Fiber.spawn eng (fun () ->
+        for _ = 1 to 30 do
+          Fiber.sleep 1.0;
+          wakes := Fiber.now () :: !wakes
+        done);
+    (eng, wakes)
+  in
+  let upto n = List.init n (fun i -> float_of_int (i + 1)) in
+  let eng, wakes = start () in
+  Engine.run eng ~until:10.5;
+  Alcotest.(check (list (float 0.0))) "ten wakes" (upto 10) (List.rev !wakes);
+  check_float "clock at the limit" 10.5 (Engine.now eng);
+  Alcotest.(check int) "only the start ran as an event" 1 (Engine.executed eng);
+  Alcotest.(check int) "the eleventh wake is queued" 1 (Engine.pending eng);
+  Engine.run eng ~until:20.5;
+  Alcotest.(check (list (float 0.0))) "twenty wakes" (upto 20) (List.rev !wakes);
+  check_float "clock at the second limit" 20.5 (Engine.now eng);
+  Alcotest.(check int) "the queued timer continued the fiber itself" 2
+    (Engine.executed eng);
+  let eng', wakes' = start () in
+  Engine.run eng' ~until:20.5;
+  Alcotest.(check (list (float 0.0))) "same as an unpaused run" (List.rev !wakes')
+    (List.rev !wakes)
+
+(* Sleeps against a model that always takes the queued path, built
+   from raw events: a timer, then a same-instant hop that runs the next
+   segment. Fibers with small integer delays (0 is a yield) and
+   periodic plain events collide at the same instants, and the runs
+   pause at random limits, so sleeps continue in place, wake inline and
+   queue in every mix; the order of segments and the clock must match
+   the model's. A periodic event re-arms itself, so it can fall between
+   a fiber's timer and its hop, where an inline wake would run the
+   fiber too early. *)
+let prop_fiber_sleeps_match_queued_model =
+  let gen =
+    QCheck.Gen.(
+      triple
+        (list_size (int_range 1 4) (list_size (int_range 0 8) (int_bound 3)))
+        (list_size (int_bound 4) (triple (int_bound 8) (int_range 1 3) (int_range 1 5)))
+        (list_size (int_bound 4) (map (fun x -> float_of_int x /. 2.0) (int_bound 24))))
+  in
+  let print =
+    QCheck.Print.(
+      triple (list (list int)) (list (triple int int int)) (list float))
+  in
+  QCheck.Test.make ~name:"sleeps keep the queued (time, seq) order" ~count:300
+    (QCheck.make ~print gen)
+    (fun (scripts, ticks, pauses) ->
+      let run ~fibers =
+        let eng = Engine.create () in
+        let log = ref [] in
+        let note who step = log := (Engine.now eng, who, step) :: !log in
+        List.iteri
+          (fun i delays ->
+            if fibers then
+              Fiber.spawn eng (fun () ->
+                  note i 0;
+                  List.iteri
+                    (fun k d ->
+                      Fiber.sleep (float_of_int d);
+                      note i (k + 1))
+                    delays)
+            else
+              let rec next step = function
+                | [] -> ()
+                | d :: rest ->
+                    Engine.schedule eng ~delay:(float_of_int d) (fun () ->
+                        Engine.schedule eng ~delay:0.0 (fun () ->
+                            note i step;
+                            next (step + 1) rest))
+              in
+              Engine.schedule eng ~delay:0.0 (fun () ->
+                  note i 0;
+                  next 1 delays))
+          scripts;
+        List.iteri
+          (fun j (start, period, count) ->
+            let rec tick n () =
+              note (-1 - j) n;
+              if n < count then Engine.schedule eng ~delay:(float_of_int period) (tick (n + 1))
+            in
+            Engine.schedule eng ~delay:(float_of_int start) (tick 1))
+          ticks;
+        List.iter (fun until -> Engine.run eng ~until) (List.sort compare pauses);
+        Engine.run eng;
+        (List.rev !log, Engine.now eng)
+      in
+      run ~fibers:true = run ~fibers:false)
+
 (* Wake semantics: a resumer fires at most once, whoever gets there
    first — its own timer, an explicit [resume], or a group kill. *)
 
@@ -487,7 +618,16 @@ let test_fiber_suspend_on_killed_group () =
   Engine.run eng;
   Alcotest.(check string) "raises Cancelled" "cancelled" !outcome;
   Alcotest.(check (option bool)) "resumer handed over already spent"
-    (Some false) !registered
+    (Some false) !registered;
+  (* a lone sleeper would otherwise continue in place *)
+  let group = Fiber.Group.create () and slept = ref "" in
+  Fiber.spawn eng ~group (fun () ->
+      Fiber.Group.kill group;
+      match Fiber.sleep 1.0 with
+      | () -> slept := "woke"
+      | exception Fiber.Cancelled -> slept := "cancelled");
+  Engine.run eng;
+  Alcotest.(check string) "a sleep raises Cancelled too" "cancelled" !slept
 
 (* [Group.kill] cancels sleepers, suspenders and [Group.register] hooks
    in one order fixed by the group's id-keyed table (including the
@@ -556,6 +696,7 @@ let test_fiber_kill_order () =
 type kill_op =
   | Block of int
   | Sleepers of int
+  | Direct of int
   | Wake of int
   | Wake_all
   | Hook
@@ -582,6 +723,7 @@ let kill_order_agrees ops =
     incr n
   in
   let cancelled = ref [] and hook_runs = ref [] and base = ref 0 in
+  let queued_yields = ref 0 in
   let block ~sleep =
     let label = Printf.sprintf "f%d" !nblocked in
     let id = enter label in
@@ -601,6 +743,18 @@ let kill_order_agrees ops =
   let apply = function
     | Block n -> for _ = 1 to n do block ~sleep:false done
     | Sleepers n -> for _ = 1 to n do block ~sleep:true done
+    | Direct n ->
+        (* one fiber yields [n] times with nothing else pending, so each
+           yield continues in place: its id is drawn and dropped at once *)
+        for _ = 1 to n do
+          Hashtbl.remove model (enter "direct")
+        done;
+        Fiber.spawn eng ~group (fun () ->
+            for _ = 1 to n do
+              let before = Engine.executed eng in
+              Fiber.yield ();
+              if Engine.executed eng <> before then incr queued_yields
+            done)
     | Wake i when !nblocked > 0 -> wake !blocked.(i mod !nblocked)
     | Wake_all -> Array.iteri (fun i b -> if i < !nblocked then wake b) !blocked
     | Hook ->
@@ -638,6 +792,8 @@ let kill_order_agrees ops =
         | f :: rest -> f :: merge (pos + 1) rest hooks
         | [] -> List.map fst hooks)
   in
+  if !queued_yields > 0 then
+    failwith "a yield with nothing else pending went through the queue";
   (merge 0 (List.rev !cancelled) (List.rev !hook_runs) = expected, model)
 
 (* Every case includes one burst of 129 to 3000 blocks, so the emulated
@@ -649,6 +805,7 @@ let kill_ops_gen =
       [
         (3, map (fun n -> Block n) (int_range 1 40));
         (1, map (fun n -> Sleepers n) (int_range 1 20));
+        (1, map (fun n -> Direct n) (int_range 1 40));
         (4, map (fun i -> Wake i) nat);
         (1, return Wake_all);
         (3, return Hook);
@@ -666,6 +823,7 @@ let kill_ops_gen =
 let print_kill_op = function
   | Block n -> Printf.sprintf "Block %d" n
   | Sleepers n -> Printf.sprintf "Sleepers %d" n
+  | Direct n -> Printf.sprintf "Direct %d" n
   | Wake i -> Printf.sprintf "Wake %d" i
   | Wake_all -> "Wake_all"
   | Hook -> "Hook"
@@ -690,13 +848,38 @@ let test_fiber_kill_order_resize_boundaries () =
       if not agrees then Alcotest.failf "kill order differs with %d entries" n)
     [ 31; 32; 33; 63; 64; 65; 127; 128; 129; 255; 256; 257; 511; 512; 513 ]
 
+(* A sleep that continues in place still uses up the kill-table id it
+   would have drawn, and its insert still counts toward the bucket
+   doubling. Hooks registered after direct sleeps expose the first
+   (their ids, hence their buckets, shift); a direct sleep that tips the
+   table over a threshold, with no insert after it, exposes the
+   second. *)
+let test_fiber_kill_order_direct_sleeps () =
+  List.iter
+    (fun ops ->
+      let agrees, _ = kill_order_agrees ops in
+      if not agrees then
+        Alcotest.failf "kill order differs for %s"
+          (String.concat "; " (List.map print_kill_op ops)))
+    (List.concat_map
+       (fun n ->
+         [
+           [ Block n; Direct 1; Wake 0 ];
+           [ Hook; Direct 3; Hook; Block n; Direct 2; Hook; Sleepers 2; Direct 1;
+             Hook; Unhook 1; Wake 1 ];
+         ])
+       [ 1; 31; 32; 33; 63; 64; 65; 127; 128; 129 ])
+
 (* Allocation ceilings: minor-heap words per blocking operation,
    measured over a warmed-up loop on one domain. The counts are exact
    for a given compiler, so a change that puts a closure or a box back
    on the blocking path fails here rather than only in the benchmark.
-   A grouped sleep takes 20 words, a suspend/resume pair 14 and a
-   contended mutex lock/unlock 34 (with the holder's yield that makes
-   it contended); each ceiling leaves 2 words of slack. *)
+   A grouped sleep that continues in place takes 7 words, one that
+   goes through the queue 22 (measured beside a partner that keeps it
+   from running alone), a suspend/resume pair 14 and a contended mutex
+   lock/unlock 34 (with the holder's yield that makes it contended).
+   The queued sleep is held at its measured count; the other ceilings
+   leave 2 words of slack. *)
 
 let iterations = 2200
 
@@ -724,10 +907,26 @@ let check_ceiling what ~ceiling words =
     Alcotest.failf "%s: %.2f minor words per operation, ceiling %.0f" what words
       ceiling
 
-let test_alloc_grouped_sleep () =
+(* A lone fiber's sleep is always the next event, so it continues in
+   place: no resumer, no kill-table entry, no event. *)
+let test_alloc_direct_sleep () =
   let group = Fiber.Group.create () in
-  check_ceiling "grouped Fiber.sleep" ~ceiling:22.0
+  check_ceiling "direct grouped Fiber.sleep" ~ceiling:9.0
     (words_per_op ~group (fun () -> Fiber.sleep 1.0))
+
+(* With a partner whose timers fall at the same instants, neither
+   fiber is ever alone: each sleep takes the queued path, its timer and
+   its ring hop. One measured iteration is one sleep of each fiber. *)
+let test_alloc_grouped_sleep () =
+  let sleep () = Fiber.sleep 1.0 in
+  let partner () =
+    for _ = 1 to iterations do
+      sleep ()
+    done
+  in
+  let group = Fiber.Group.create () in
+  check_ceiling "queued grouped Fiber.sleep" ~ceiling:22.0
+    (words_per_op ~group ~partner sleep /. 2.0)
 
 let test_alloc_suspend_resume () =
   (* the resumer is fired from inside [register], so each iteration is
@@ -1115,6 +1314,7 @@ let () =
           Alcotest.test_case "run until" `Quick test_engine_until;
           Alcotest.test_case "nested scheduling" `Quick test_engine_nested_schedule;
           Alcotest.test_case "negative delay rejected" `Quick test_engine_negative_delay;
+          Alcotest.test_case "NaN delay and time rejected" `Quick test_engine_nan_rejected;
           Alcotest.test_case "schedule_at clamps past times" `Quick
             test_engine_schedule_at_past_clamps;
           Alcotest.test_case "executed counter" `Quick test_engine_executed_counter;
@@ -1152,6 +1352,8 @@ let () =
           Alcotest.test_case "suspend on killed group" `Quick
             test_fiber_suspend_on_killed_group;
           Alcotest.test_case "kill order" `Quick test_fiber_kill_order;
+          Alcotest.test_case "direct sleep allocation ceiling" `Quick
+            test_alloc_direct_sleep;
           Alcotest.test_case "grouped sleep allocation ceiling" `Quick
             test_alloc_grouped_sleep;
           Alcotest.test_case "suspend/resume allocation ceiling" `Quick
@@ -1160,8 +1362,14 @@ let () =
             test_alloc_contended_mutex;
           Alcotest.test_case "kill order at resize boundaries" `Quick
             test_fiber_kill_order_resize_boundaries;
+          Alcotest.test_case "kill order with direct sleeps" `Quick
+            test_fiber_kill_order_direct_sleeps;
+          Alcotest.test_case "bad sleep rejected" `Quick test_fiber_bad_sleep_rejected;
+          Alcotest.test_case "sleeps stop at the run limit" `Quick
+            test_fiber_sleep_stops_at_limit;
         ]
-        @ qcheck [ prop_kill_table_matches_hashtbl ] );
+        @ qcheck
+            [ prop_kill_table_matches_hashtbl; prop_fiber_sleeps_match_queued_model ] );
       ( "mailbox",
         [
           Alcotest.test_case "FIFO delivery" `Quick test_mailbox_fifo;
